@@ -1,25 +1,13 @@
 package org.apache.spark.sql
 
-import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
-
 /** Narrow bridge into `private[sql]` Spark APIs used by the reproduction:
-  * building a Dataset over a hand-made logical plan (to attach the
-  * pre-aggregation marker node) and reaching classic-session internals
-  * (function registry, experimental optimizer hooks).
+  * reaching classic-session internals (the function registry).
   */
 object ReproShim {
 
   /** Downcast to the classic (non-Connect) session, which owns
-    * `sessionState` and `experimental`.
+    * `sessionState`.
     */
   def classic(spark: SparkSession): org.apache.spark.sql.classic.SparkSession =
     spark.asInstanceOf[org.apache.spark.sql.classic.SparkSession]
-
-  /** Dataset over an arbitrary analyzed/unanalyzed logical plan. */
-  def ofRows(spark: SparkSession, plan: LogicalPlan): DataFrame =
-    org.apache.spark.sql.classic.Dataset.ofRows(classic(spark), plan)
-
-  /** The analyzed logical plan behind a DataFrame. */
-  def analyzed(df: DataFrame): LogicalPlan =
-    df.queryExecution.analyzed
 }

@@ -78,11 +78,4 @@ object OfflineMultiWindow {
     sb.append("paper: 4.8x (small), 5.3x (medium), 4.6x (large) vs Spark\n")
     sb.toString
   }
-
-  def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.master("local[*]").appName("mw-bench")
-      .config("spark.sql.shuffle.partitions", "64").getOrCreate()
-    println(render(run(spark)))
-    spark.stop()
-  }
 }

@@ -111,6 +111,4 @@ object OnlineMicro {
     sb.append(f"speedup (p50): ${rs(1).p50Ms / rs(0).p50Ms}%.1fx; paper reports 10x-20x over DuckDB/Flink\n")
     sb.toString
   }
-
-  def main(args: Array[String]): Unit = println(render(run()))
 }

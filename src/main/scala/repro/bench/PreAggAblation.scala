@@ -59,6 +59,4 @@ object PreAggAblation {
     sb.append("paper (860k tuples): 300ms -> 6ms, 45x\n")
     sb.toString
   }
-
-  def main(args: Array[String]): Unit = println(render(run()))
 }

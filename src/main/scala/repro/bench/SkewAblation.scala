@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.core.offline.SkewResolver
-import repro.core.offline.SkewResolver.SkewAgg
 
 /** Figure 13 reproduction shape: time-windowed aggregation over a heavily
   * skewed key distribution; naive per-key windowing (one straggler task
@@ -15,8 +14,7 @@ object SkewAblation {
 
   final case class SkewRow(variant: String, seconds: Double)
 
-  private def aggs = Seq(SkewAgg("s", sum(col("v"))), SkewAgg("c", count(lit(1))),
-    SkewAgg("mx", max(col("v"))))
+  private def aggs = Seq(("s", sum(col("v"))), ("c", count(lit(1))), ("mx", max(col("v"))))
 
   private def time(f: => Unit): Double = {
     val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e9
@@ -45,12 +43,5 @@ object SkewAblation {
     rows.drop(1).foreach(r => sb.append(f"  speedup ${r.variant}: ${base / r.seconds}%.2fx\n"))
     sb.append("paper: skew opt up to 10.1x over Spark, >2x over no-skew-opt\n")
     sb.toString
-  }
-
-  def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.master("local[*]").appName("skew-bench")
-      .config("spark.sql.shuffle.partitions", "64").getOrCreate()
-    println(render(run(spark)))
-    spark.stop()
   }
 }

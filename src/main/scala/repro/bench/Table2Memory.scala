@@ -70,6 +70,4 @@ object Table2Memory {
     }
     sb.toString
   }
-
-  def main(args: Array[String]): Unit = println(render(run()))
 }

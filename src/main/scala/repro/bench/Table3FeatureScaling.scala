@@ -84,6 +84,4 @@ object Table3FeatureScaling {
     }
     sb.toString
   }
-
-  def main(args: Array[String]): Unit = println(render(run()))
 }

@@ -40,6 +40,4 @@ object WindowUnionAblation {
     sb.append("paper: static ~1k tuples/s at 10k window; OpenMLDB ~1M tuples/s flat\n")
     sb.toString
   }
-
-  def main(args: Array[String]): Unit = println(render(run()))
 }

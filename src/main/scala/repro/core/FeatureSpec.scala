@@ -54,5 +54,8 @@ final case class FeatureSpec(
     lastJoins: Seq[LastJoinDef] = Nil) {
   require(features.forall(f => windows.exists(_.name == f.window)),
     "every feature must reference a declared window")
+  require(lastJoins.isEmpty || windows.nonEmpty,
+    "a LAST JOIN takes the primary table's timestamp column from the first window; " +
+      "declare at least one window when the spec has LAST JOINs")
   def window(name: String): WindowDef = windows.find(_.name == name).get
 }

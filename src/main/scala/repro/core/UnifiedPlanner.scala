@@ -1,11 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.core.functions.Aggregators
-import repro.core.offline.{LastJoin, WindowUnion}
+import repro.core.offline.{LastJoin, RangeFrame, WindowUnion}
 
 /** Lowers a [[FeatureSpec]] to the offline Spark plan (§3.2 "Offline
   * Execution Mode"). The same spec drives
@@ -42,18 +41,14 @@ object UnifiedPlanner {
     val primary = tables(spec.primary)
 
     val withWindows = spec.windows.foldLeft(primary) { case (df, w) =>
-      val feats = spec.features.filter(_.window == w.name)
+      val feats = spec.features.filter(_.window == w.name).map(f => f.name -> fnColumn(f.fn))
       if (feats.isEmpty) df
-      else if (w.unionTables.isEmpty) {
-        val ws = Window.partitionBy(w.keyCol).orderBy(col(w.tsCol).cast("long"))
-          .rangeBetween(-w.rangeMs, 0)
-        feats.foldLeft(df) { case (d, f) => d.withColumn(f.name, fnColumn(f.fn).over(ws)) }
-      } else {
+      else if (w.unionTables.isEmpty) RangeFrame(df, w.keyCol, w.tsCol, w.rangeMs, feats)
+      else {
         // WINDOW UNION: secondary rows feed the frames, primary rows are
         // the outputs. Already-computed feature columns ride along on the
         // primary side (they are not aggregate inputs).
-        WindowUnion(df, w.unionTables.map(tables), w.keyCol, w.tsCol, w.rangeMs,
-          feats.map(f => WindowUnion.UnionAgg(f.name, fnColumn(f.fn))))
+        WindowUnion(df, w.unionTables.map(tables), w.keyCol, w.tsCol, w.rangeMs, feats)
       }
     }
 

@@ -35,9 +35,7 @@ object MultiWindowParallel {
     * plans `SELECT f1 OVER w1, f2 OVER w2, ...`.
     */
   def sequential(input: DataFrame, windows: Seq[WindowFeatures]): DataFrame =
-    windows.foldLeft(input) { case (df, wf) =>
-      wf.features.foldLeft(df) { case (d, (name, agg)) => d.withColumn(name, agg.over(wf.spec)) }
-    }
+    windows.foldLeft(input)((df, wf) => RangeFrame.over(df, wf.spec, wf.features))
 
   /** The parallel-optimized plan. The input is materialised once with the
     * index column (monotonically_increasing_id is only stable across the
@@ -55,7 +53,7 @@ object MultiWindowParallel {
     withId.count() // pin the id assignment before branches re-read it
     val branches = windows.map { wf =>
       val narrow = withId.select((Id +: wf.inputCols.distinct).map(col): _*)
-      wf.features.foldLeft(narrow) { case (d, (name, agg)) => d.withColumn(name, agg.over(wf.spec)) }
+      RangeFrame.over(narrow, wf.spec, wf.features)
         .select((Id +: wf.features.map(_._1)).map(col): _*)
     }
     // Concat Join: one-to-one alignment on the index column; narrow

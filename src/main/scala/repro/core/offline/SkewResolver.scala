@@ -1,7 +1,6 @@
 package repro.core.offline
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Time-aware data-skew resolving (§6.2).
@@ -31,14 +30,10 @@ import org.apache.spark.sql.functions._
   */
 object SkewResolver {
 
-  final case class SkewAgg(name: String, agg: Column)
-
   /** The naive baseline: one Spark partition per key. */
   def naive(df: DataFrame, keyCol: String, tsCol: String, windowMs: Long,
-            aggs: Seq[SkewAgg]): DataFrame = {
-    val w = Window.partitionBy(keyCol).orderBy(col(tsCol).cast("long")).rangeBetween(-windowMs, 0)
-    aggs.foldLeft(df) { case (d, a) => d.withColumn(a.name, a.agg.over(w)) }
-  }
+            aggs: Seq[(String, Column)]): DataFrame =
+    RangeFrame(df, keyCol, tsCol, windowMs, aggs)
 
   /** The time-aware repartitioned plan.
     *
@@ -46,7 +41,7 @@ object SkewResolver {
     *                 of time ranges each key is split into
     */
   def optimized(df: DataFrame, keyCol: String, tsCol: String, windowMs: Long,
-                aggs: Seq[SkewAgg], nParts: Int): DataFrame = {
+                aggs: Seq[(String, Column)], nParts: Int): DataFrame = {
     require(nParts >= 1)
     if (nParts == 1) return naive(df, keyCol, tsCol, windowMs, aggs)
 
@@ -74,11 +69,8 @@ object SkewResolver {
     val augmented = (tagged +: expanded).reduce(_.unionByName(_))
 
     // (4)+(5) Redistribute by (key, PART_ID) and compute; drop context rows.
-    val w = Window.partitionBy(col(keyCol), col("__part_id"))
-      .orderBy(ts).rangeBetween(-windowMs, 0)
-    val computed = aggs.foldLeft(
-      augmented.repartition(col(keyCol), col("__part_id"))
-    ) { case (d, a) => d.withColumn(a.name, a.agg.over(w)) }
-    computed.filter(!col("__expanded")).drop("__part_id", "__expanded")
+    val w = RangeFrame.spec(Seq(col(keyCol), col("__part_id")), tsCol, windowMs)
+    RangeFrame.over(augmented.repartition(col(keyCol), col("__part_id")), w, aggs)
+      .filter(!col("__expanded")).drop("__part_id", "__expanded")
   }
 }

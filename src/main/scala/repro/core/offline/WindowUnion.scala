@@ -1,7 +1,6 @@
 package repro.core.offline
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** WINDOW UNION (Table 1, §5.2): aggregate over a time window whose
@@ -16,14 +15,6 @@ import org.apache.spark.sql.functions._
   */
 object WindowUnion {
 
-  /** One aggregate to compute over the unioned window.
-    *
-    * @param name output column
-    * @param agg  aggregate over the shared columns, e.g. sum(col("price"))
-    *             or expr("topn_frequency(cat, 3)")
-    */
-  final case class UnionAgg(name: String, agg: Column)
-
   /** @param primary     the driving table (its rows are the output rows)
     * @param secondaries tables whose rows join the window frames; each must
     *                    contain `keyCol`, `tsCol` and the columns used by
@@ -31,10 +22,12 @@ object WindowUnion {
     * @param keyCol      PARTITION BY column
     * @param tsCol       ORDER BY column (epoch millis)
     * @param rangeMs     frame: RANGE BETWEEN rangeMs PRECEDING AND CURRENT ROW
-    * @param aggs        aggregates evaluated over the unioned frame
+    * @param aggs        (output column, aggregate) pairs evaluated over the
+    *                    unioned frame, e.g. "s" -> sum(col("price")) or
+    *                    "top" -> expr("topn_frequency(cat, 3)")
     */
   def apply(primary: DataFrame, secondaries: Seq[DataFrame], keyCol: String,
-            tsCol: String, rangeMs: Long, aggs: Seq[UnionAgg]): DataFrame = {
+            tsCol: String, rangeMs: Long, aggs: Seq[(String, Column)]): DataFrame = {
     val shared = primary.columns.toSeq
     val tagged = primary.withColumn("__is_primary", lit(1)) +:
       secondaries.map { s =>
@@ -44,9 +37,7 @@ object WindowUnion {
         s.select(cols: _*).withColumn("__is_primary", lit(0))
       }
     val unioned = tagged.reduce(_.unionByName(_))
-    val w = Window.partitionBy(keyCol).orderBy(col(tsCol).cast("long"))
-      .rangeBetween(-rangeMs, 0)
-    val withAggs = aggs.foldLeft(unioned) { case (df, a) => df.withColumn(a.name, a.agg.over(w)) }
-    withAggs.filter(col("__is_primary") === 1).drop("__is_primary")
+    RangeFrame(unioned, keyCol, tsCol, rangeMs, aggs)
+      .filter(col("__is_primary") === 1).drop("__is_primary")
   }
 }

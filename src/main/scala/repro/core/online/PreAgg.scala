@@ -38,15 +38,9 @@ final class PreAggTable(val levels: Seq[Long]) {
     case _         =>
   }
 
-  /** Per-key aggregator state: one bucket map per level plus the observed
-    * ts range, used to clamp queries (an effectively-unbounded window must
-    * not trigger raw scans below the oldest data — the descending time
-    * list would walk every entry to find nothing).
-    */
+  /** Per-key aggregator state: one bucket map per level. */
   private final class KeyAgg(nLevels: Int) {
     val levels: Array[mutable.LongMap[Partial]] = Array.fill(nLevels)(mutable.LongMap.empty[Partial])
-    var minTs: Long = Long.MaxValue
-    var maxTs: Long = Long.MinValue
   }
 
   private val state = new ConcurrentHashMap[String, KeyAgg]()
@@ -60,8 +54,6 @@ final class PreAggTable(val levels: Seq[Long]) {
   def insert(key: String, ts: Long, v: Double): Unit = {
     val agg = state.computeIfAbsent(key, _ => new KeyAgg(levels.size))
     agg.synchronized {
-      agg.minTs = math.min(agg.minTs, ts)
-      agg.maxTs = math.max(agg.maxTs, ts)
       levels.indices.foreach { i =>
         val b = math.floorDiv(ts, levels(i)) * levels(i)
         agg.levels(i)(b) = agg.levels(i).getOrElse(b, Partial.empty).add(v)

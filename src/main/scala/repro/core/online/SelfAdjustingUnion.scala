@@ -1,7 +1,6 @@
 package repro.core.online
 
 import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, LinkedBlockingQueue}
-import java.util.concurrent.atomic.AtomicLongArray
 import scala.collection.mutable.ArrayBuffer
 
 /** Multi-table window-union streaming executors (§5.2 and §9.3.2).
@@ -40,81 +39,66 @@ object WindowUnionStream {
     }.toArray
   }
 
-  /** Per-key incremental sliding-window state: ascending-ts buffer with a
-    * running sum; out-of-order arrivals (possible briefly during key
-    * handoff) insert at the right position.
+  /** Per-key sliding-window state: the entries inside the current frame,
+    * ts-ascending in a ring buffer, plus their running sum. `run` hands
+    * each key's tuples to `handle` one at a time and in ts order, across
+    * key handoffs too, so an entry that leaves the frame can never be
+    * needed again and is dropped for good.
     */
   final class KeyState {
-    // buf holds ascending-ts entries; indices < `frameFrom` have been
-    // *logically* evicted from the running sum; physical removal only
-    // happens once entries fall 2 windows behind the watermark, so a
-    // late-arriving tuple (key handoff during rebalance) can still be
-    // answered exactly by rescanning the retained tail.
-    private val buf = ArrayBuffer.empty[(Long, Double)]
+    private var tss = new Array[Long](4)
+    private var vals = new Array[Double](4)
+    private var head = 0
+    private var n = 0
     private var sumWindow = 0.0
-    private var frameFrom = 0
-    private var lastTs = Long.MinValue
 
-    private def insertSorted(ts: Long, v: Double): Unit = {
-      var i = buf.length
-      while (i > frameFrom && buf(i - 1)._1 > ts) i -= 1
-      buf.insert(i, (ts, v))
-    }
+    /** Entries currently retained. */
+    private[online] def size: Int = synchronized(n)
 
-    def addAndQuery(ts: Long, v: Double, windowMs: Long): Double = synchronized {
-      if (ts >= lastTs) {
-        // fast path: in-order arrival — subtract-and-evict, O(1) amortized
-        lastTs = ts
-        buf += ((ts, v))
-        sumWindow += v
-        val cutoff = ts - windowMs
-        while (frameFrom < buf.length && buf(frameFrom)._1 < cutoff) {
-          sumWindow -= buf(frameFrom)._2; frameFrom += 1
-        }
-        // NOTE: eviction here is *logical* (subtract from the running sum);
-        // entries stay in the buffer for the lifetime of the run so a tuple
-        // delayed arbitrarily long by a key handoff can still be answered
-        // exactly. A production engine would physically compact below a
-        // global in-flight watermark.
-        sumWindow
-      } else {
-        // rare path: out-of-order arrival during key handoff — insert and
-        // answer exactly from the retained buffer
-        insertSorted(ts, v)
-        if (ts >= lastTs - windowMs) sumWindow += v // joins the current frame
-        else frameFrom += 1 // landed inside the evicted prefix; keep it there
-        var s = 0.0
-        var i = 0
-        while (i < buf.length) {
-          val (bts, bv) = buf(i)
-          if (bts >= ts - windowMs && bts <= ts) s += bv
-          i += 1
-        }
-        s
+    private def at(i: Int): Int = (head + i) & (tss.length - 1)
+
+    private def append(ts: Long, v: Double): Unit = {
+      if (n == tss.length) {
+        val (t2, v2) = (new Array[Long](n * 2), new Array[Double](n * 2))
+        (0 until n).foreach { i => t2(i) = tss(at(i)); v2(i) = vals(at(i)) }
+        tss = t2; vals = v2; head = 0
       }
+      tss(at(n)) = ts; vals(at(n)) = v; n += 1
     }
 
-    /** O(w) rescan used by the static baseline (no retained sum). */
+    /** Drops the entries older than `cutoff`; returns their sum. */
+    private def evictBefore(cutoff: Long): Double = {
+      var dropped = 0.0
+      while (n > 0 && tss(head) < cutoff) {
+        dropped += vals(head); head = at(1); n -= 1
+      }
+      dropped
+    }
+
+    /** Subtract-and-evict: O(1) amortized per tuple. */
+    def addAndQuery(ts: Long, v: Double, windowMs: Long): Double = synchronized {
+      append(ts, v)
+      sumWindow += v - evictBefore(ts - windowMs)
+      sumWindow
+    }
+
+    /** The static baseline: same buffer and eviction, but no retained sum,
+      * so every tuple pays an O(w) scan of its frame.
+      */
     def rescan(ts: Long, v: Double, windowMs: Long): Double = synchronized {
-      if (ts >= lastTs) { lastTs = ts; buf += ((ts, v)) } else insertSorted(ts, v)
-      // the baseline trims expired data but pays a full scan per tuple
-      var drop = 0
-      while (drop < buf.length && buf(drop)._1 < ts - 2 * windowMs) drop += 1
-      if (drop > 1024) { buf.remove(0, drop); frameFrom = math.max(0, frameFrom - drop) }
+      append(ts, v)
+      evictBefore(ts - windowMs)
       var s = 0.0
       var i = 0
-      while (i < buf.length) {
-        val (bts, bv) = buf(i)
-        if (bts >= ts - windowMs && bts <= ts) s += bv
-        i += 1
-      }
+      while (i < n) { s += vals(at(i)); i += 1 }
       s
     }
   }
 
+  private final class KeyProgress(var next: Int, var lastTs: Long)
+
   sealed abstract class ThreadedEngine(nWorkers: Int) {
     protected val states = new ConcurrentHashMap[String, KeyState]()
-    protected val processed = new AtomicLongArray(nWorkers)
     private val seqDone = new ConcurrentHashMap[String, java.util.concurrent.atomic.AtomicInteger]()
 
     /** worker id for a tuple at submission time */
@@ -132,18 +116,25 @@ object WindowUnionStream {
       * worker processes the predecessor then chain-processes the parked
       * successor. Ordering stays exact with zero spinning — the §5.2
       * contract without the throughput cliff of busy requeueing.
+      *
+      * @throws IllegalArgumentException if a key's `ts` goes backwards in
+      *         `tuples`; checked before any worker starts
       */
     def run(tuples: IndexedSeq[StreamTuple]): Array[Double] = {
       val results = new Array[Double](tuples.length)
-      // per-tuple per-key sequence numbers (submission order = ts order)
+      // per-tuple per-key sequence numbers; submission order must be ts
+      // order per key, which is what lets KeyState evict for good
       val seqOf: Array[Int] = {
         val out = new Array[Int](tuples.length)
-        val counters = scala.collection.mutable.HashMap.empty[String, Int]
+        val seen = scala.collection.mutable.HashMap.empty[String, KeyProgress]
         tuples.indices.foreach { i =>
-          val k = tuples(i).key
-          val n = counters.getOrElse(k, 0)
-          out(i) = n
-          counters(k) = n + 1
+          val t = tuples(i)
+          val p = seen.getOrElseUpdate(t.key, new KeyProgress(0, t.ts))
+          require(t.ts >= p.lastTs,
+            s"key ${t.key}: ts ${t.ts} comes after ts ${p.lastTs}; run needs each key's tuples in ts order")
+          out(i) = p.next
+          p.next += 1
+          p.lastTs = t.ts
         }
         out
       }
@@ -152,13 +143,12 @@ object WindowUnionStream {
       val queues = Array.fill(nWorkers)(new LinkedBlockingQueue[Integer]())
       val done = new CountDownLatch(nWorkers)
 
-      def process(w: Int, idx0: Int): Unit = {
+      def process(idx0: Int): Unit = {
         var idx = idx0
         while (idx >= 0) {
           val t = tuples(idx)
           results(idx) = handle(t)
-          processed.incrementAndGet(w)
-          onProcessed(w)
+          onProcessed()
           val gate = seqDone.get(t.key)
           val nextSeq = gate.incrementAndGet()
           // chain-process a parked successor, if any arrived early
@@ -177,14 +167,14 @@ object WindowUnionStream {
               val t = tuples(idx)
               val gate = seqDone.computeIfAbsent(t.key,
                 _ => new java.util.concurrent.atomic.AtomicInteger(0))
-              if (gate.get() == seqOf(idx)) process(w, idx)
+              if (gate.get() == seqOf(idx)) process(idx)
               else {
                 // park; re-check the gate to close the race where the
                 // predecessor finished between our check and the put
                 pending.put((t.key, seqOf(idx)), idx)
                 if (gate.get() == seqOf(idx)) {
                   val again = pending.remove((t.key, seqOf(idx)))
-                  if (again != null) process(w, again.intValue())
+                  if (again != null) process(again.intValue())
                 }
               }
             }
@@ -204,7 +194,7 @@ object WindowUnionStream {
       results
     }
 
-    protected def onProcessed(worker: Int): Unit = ()
+    protected def onProcessed(): Unit = ()
     protected def state(key: String): KeyState =
       states.computeIfAbsent(key, _ => new KeyState)
   }
@@ -213,7 +203,6 @@ object WindowUnionStream {
   final class StaticUnion(nWorkers: Int, windowMs: Long) extends ThreadedEngine(nWorkers) {
     protected def route(key: String): Int = math.floorMod(key.hashCode, nWorkers)
     protected def handle(t: StreamTuple): Double = state(t.key).rescan(t.ts, t.value, windowMs)
-    def runAll(ts: IndexedSeq[StreamTuple]): Array[Double] = run(ts)
   }
 
   /** The paper's engine: dynamic key->worker routing + subtract-and-evict. */
@@ -232,7 +221,7 @@ object WindowUnionStream {
 
     protected def handle(t: StreamTuple): Double = state(t.key).addAndQuery(t.ts, t.value, windowMs)
 
-    override protected def onProcessed(worker: Int): Unit = {
+    override protected def onProcessed(): Unit = {
       if (sinceRebalance.incrementAndGet() % rebalanceEvery == 0) rebalance()
     }
 
@@ -242,25 +231,29 @@ object WindowUnionStream {
     private def rebalance(): Unit = synchronized {
       val loadPerWorker = Array.fill(nWorkers)(0L)
       val it = keyLoad.entrySet().iterator()
-      val keyToWorker = scala.collection.mutable.HashMap.empty[String, Int]
+      // one snapshot of (worker, load) per key: the feeding thread keeps
+      // counting while this runs, and a sort over live counters breaks
+      // the comparator's contract
+      val keyToWorker = scala.collection.mutable.HashMap.empty[String, (Int, Long)]
       while (it.hasNext) {
         val e = it.next()
         val w = { val r = routing.get(e.getKey); if (r != null) r.intValue() else math.floorMod(e.getKey.hashCode, nWorkers) }
-        keyToWorker(e.getKey) = w
-        loadPerWorker(w) += e.getValue.get()
+        val load = e.getValue.get()
+        keyToWorker(e.getKey) = (w, load)
+        loadPerWorker(w) += load
       }
       val hot  = loadPerWorker.indices.maxBy(loadPerWorker)
       val cold = loadPerWorker.indices.minBy(loadPerWorker)
       if (hot != cold && loadPerWorker(hot) > 2 * math.max(1L, loadPerWorker(cold))) {
         // move the hot worker's heaviest keys until roughly even
-        val hotKeys = keyToWorker.collect { case (k, w) if w == hot => k }.toSeq
-          .sortBy(k => -keyLoad.get(k).get())
+        val hotKeys = keyToWorker.collect { case (k, (w, load)) if w == hot => (k, load) }.toSeq
+          .sortBy(-_._2)
         var moved = 0L
         val target = (loadPerWorker(hot) - loadPerWorker(cold)) / 2
-        hotKeys.takeWhile { k =>
+        hotKeys.takeWhile { case (k, load) =>
           // never empty the hot worker entirely; move large keys first
           routing.put(k, Integer.valueOf(cold))
-          moved += keyLoad.get(k).get()
+          moved += load
           moved < target
         }
         rebalances += 1

@@ -4,11 +4,9 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 
 class SkewResolverSpec extends SparkSpec {
-  import SkewResolver.SkewAgg
-
   private def aggs = Seq(
-    SkewAgg("w_sum", sum(col("v"))),
-    SkewAgg("w_cnt", count(lit(1))),
+    ("w_sum", sum(col("v"))),
+    ("w_cnt", count(lit(1))),
   )
 
   private lazy val skewed = {
@@ -61,7 +59,7 @@ class SkewResolverSpec extends SparkSpec {
       (1L, 10L, 1.0), (1L, 20L, 2.0), (1L, 30L, 4.0), (1L, 40L, 8.0),
       (2L, 15L, 16.0), (2L, 35L, 32.0),
     ).toDF("k", "ts", "v")
-    val o = SkewResolver.optimized(small, "k", "ts", 15L, Seq(SkewAgg("s", sum(col("v")))), 2)
+    val o = SkewResolver.optimized(small, "k", "ts", 15L, Seq(("s", sum(col("v")))), 2)
       .select("k", "ts", "s")
     Oracle.assertEquivalent(o,
       """SELECT t.k, t.ts, (SELECT SUM(CAST(u.v AS DOUBLE)) FROM tbl u

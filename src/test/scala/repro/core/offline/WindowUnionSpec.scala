@@ -5,8 +5,6 @@ import repro.{Oracle, SparkSpec}
 import repro.core.functions.Aggregators
 
 class WindowUnionSpec extends SparkSpec {
-  import WindowUnion.UnionAgg
-
   private lazy val actions = {
     import spark.implicits._
     Seq(
@@ -36,7 +34,7 @@ class WindowUnionSpec extends SparkSpec {
 
   test("union window count matches DuckDB") {
     val out = WindowUnion(actions, Seq(orders), "userid", "ts", 3000L,
-      Seq(UnionAgg("c", count(lit(1)))))
+      Seq(("c", count(lit(1)))))
       .select("userid", "ts", "c")
     Oracle.assertEquivalent(out, oracleSql(3000L, "COUNT(*)", "c"),
       "actions" -> actions, "orders" -> orders)
@@ -44,7 +42,7 @@ class WindowUnionSpec extends SparkSpec {
 
   test("union window sum matches DuckDB") {
     val out = WindowUnion(actions, Seq(orders), "userid", "ts", 3000L,
-      Seq(UnionAgg("s", sum(col("price")))))
+      Seq(("s", sum(col("price")))))
       .select("userid", "ts", "s")
     Oracle.assertEquivalent(out, oracleSql(3000L, "SUM(CAST(u.price AS DOUBLE))", "s"),
       "actions" -> actions, "orders" -> orders)
@@ -52,7 +50,7 @@ class WindowUnionSpec extends SparkSpec {
 
   test("secondary rows feed frames but never appear as output rows") {
     val out = WindowUnion(actions, Seq(orders), "userid", "ts", 3000L,
-      Seq(UnionAgg("c", count(lit(1)))))
+      Seq(("c", count(lit(1)))))
     assert(out.count() == actions.count())
     // the order at ts=6900 for user 1 produced no output row
     assert(out.filter(col("ts") === 6900L).count() == 0)
@@ -61,7 +59,7 @@ class WindowUnionSpec extends SparkSpec {
   test("secondary row exactly at the frame edge is included") {
     // action at 4000, window 3000 -> frame [1000, 4000]; order at 3000 in
     val out = WindowUnion(actions, Seq(orders), "userid", "ts", 3000L,
-      Seq(UnionAgg("s", sum(col("price"))))).filter(col("ts") === 4000L).collect()
+      Seq(("s", sum(col("price"))))).filter(col("ts") === 4000L).collect()
     assert(out.head.getAs[Double]("s") == 10.0 + 20.0 + 30.0 + 100.0)
   }
 
@@ -69,13 +67,13 @@ class WindowUnionSpec extends SparkSpec {
     import spark.implicits._
     val extra = Seq((1L, 3900L, 1000.0, "misc")).toDF("userid", "ts", "price", "category")
     val out = WindowUnion(actions, Seq(orders, extra), "userid", "ts", 3000L,
-      Seq(UnionAgg("s", sum(col("price"))))).filter(col("ts") === 4000L).collect()
+      Seq(("s", sum(col("price"))))).filter(col("ts") === 4000L).collect()
     assert(out.head.getAs[Double]("s") == 10.0 + 20.0 + 30.0 + 100.0 + 1000.0)
   }
 
   test("keys never mix across the union") {
     val out = WindowUnion(actions, Seq(orders), "userid", "ts", 10000L,
-      Seq(UnionAgg("c", count(lit(1))))).filter(col("userid") === 2L).collect()
+      Seq(("c", count(lit(1))))).filter(col("userid") === 2L).collect()
     assert(out.head.getAs[Long]("c") == 2L) // own action + user-2 order only
   }
 
@@ -84,7 +82,7 @@ class WindowUnionSpec extends SparkSpec {
     Aggregators.register(spark)
     val slim = Seq((1L, 3600L, 7.0)).toDF("userid", "ts", "price") // no category
     val out = WindowUnion(actions, Seq(slim), "userid", "ts", 3000L,
-      Seq(UnionAgg("s", sum(col("price"))), UnionAgg("dc", expr("distinct_count(category)"))))
+      Seq(("s", sum(col("price"))), ("dc", expr("distinct_count(category)"))))
     // distinct_count skips the null category from the slim row
     val r4000 = out.filter(col("ts") === 4000L).collect().head
     assert(r4000.getAs[Double]("s") == 10.0 + 20.0 + 30.0 + 7.0)
@@ -94,7 +92,7 @@ class WindowUnionSpec extends SparkSpec {
   test("openmldb aggregates work over union windows (topn_frequency)") {
     Aggregators.register(spark)
     val out = WindowUnion(actions, Seq(orders), "userid", "ts", 3000L,
-      Seq(UnionAgg("top", expr("topn_frequency(category, 1)"))))
+      Seq(("top", expr("topn_frequency(category, 1)"))))
       .filter(col("ts") === 4000L).collect()
     // frame [1000,4000] for user 1: shoes(1000), books(3500), shoes(4000), order shoes(3000)
     assert(out.head.getAs[String]("top") == "shoes")
@@ -105,7 +103,7 @@ class WindowUnionSpec extends SparkSpec {
     val prim = Seq((1L, 100L, 1.0, "a")).toDF("userid", "ts", "price", "category")
     val sec = Seq((1L, 100L, 2.0, "b")).toDF("userid", "ts", "price", "category")
     val out = WindowUnion(prim, Seq(sec), "userid", "ts", 0L,
-      Seq(UnionAgg("s", sum(col("price"))))).collect()
+      Seq(("s", sum(col("price"))))).collect()
     assert(out.head.getAs[Double]("s") == 3.0)
   }
 }

@@ -1,10 +1,12 @@
 package repro.core.online
 
+import org.scalatest.concurrent.{ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 import repro.LocalGen
 import repro.core.online.WindowUnionStream._
 
-class SelfAdjustingUnionSpec extends AnyFunSuite {
+class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
 
   private def closeEnough(a: Array[Double], b: Array[Double]): Unit = {
     assert(a.length == b.length)
@@ -47,6 +49,19 @@ class SelfAdjustingUnionSpec extends AnyFunSuite {
     assert(eng.rebalances > 0, "expected at least one rebalance on zipf(2.0) keys")
   }
 
+  test("frequent rebalances over many hot keys never stall the run") {
+    // with 32 or more keys on the hot worker, ranking them sorts with
+    // TimSort's merge path, which rejects a ranking read from counters the
+    // feeding thread is still incrementing
+    val tuples = LocalGen.unionStream(100000, nKeys = 2000, alpha = 1.7, seed = 28)
+    val want = new StaticUnion(2, windowMs = 2000).run(tuples)
+    (0 until 5).foreach { _ =>
+      val eng = new SelfAdjustingUnion(2, windowMs = 2000, rebalanceEvery = 500)
+      closeEnough(failAfter(60.seconds)(eng.run(tuples))(ThreadSignaler), want)
+      assert(eng.rebalances > 0)
+    }
+  }
+
   test("multi-table provenance: union aggregates across all tables") {
     // same key from 3 different tables — all must land in one window
     val ts = IndexedSeq(
@@ -77,5 +92,32 @@ class SelfAdjustingUnionSpec extends AnyFunSuite {
   test("many workers with few keys still terminate and agree") {
     val tuples = LocalGen.unionStream(5000, nKeys = 3, seed = 26)
     closeEnough(new StaticUnion(8, 300).run(tuples), sequentialReference(tuples, 300))
+  }
+
+  test("a key whose ts goes backwards is rejected before any worker starts") {
+    val ts = IndexedSeq(
+      StreamTuple(0, "a", 10, 1.0), StreamTuple(1, "b", 5, 2.0), StreamTuple(2, "a", 7, 4.0))
+    Seq(new SelfAdjustingUnion(2, 100, rebalanceEvery = Int.MaxValue), new StaticUnion(2, 100))
+      .foreach { eng =>
+        val e = intercept[IllegalArgumentException](eng.run(ts))
+        assert(e.getMessage.contains("key a") && e.getMessage.contains("ts 7") &&
+          e.getMessage.contains("ts 10"), e.getMessage)
+      }
+  }
+
+  test("retained entries stay bounded by the frame over a stream of many windows") {
+    val windowMs = 100L
+    val rnd = new scala.util.Random(27)
+    // steps of 0-2 ms, ties included: about 50 windows
+    val stamps = (0 until 5000).scanLeft(0L)((t, _) => t + rnd.nextInt(3)).tail
+    val inc, scan = new KeyState
+    stamps.zipWithIndex.foreach { case (t, i) =>
+      val sum = inc.addAndQuery(t, 1.0, windowMs)
+      val scanned = scan.rescan(t, 1.0, windowMs)
+      val inFrame = stamps.view.take(i + 1).count(_ >= t - windowMs)
+      assert(sum == inFrame && scanned == inFrame, s"sums at ts $t")
+      assert(inc.size == inFrame && scan.size == inFrame, s"retained entries at ts $t")
+    }
+    assert(stamps.last > 10 * windowMs)
   }
 }
