@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.LocalGen
-import repro.core.online.WindowUnionStream.{SelfAdjustingUnion, StaticUnion}
+import repro.core.online.WindowUnionStream.{SelfAdjustingUnion, StaticUnion, ThreadedEngine}
 
 /** §9.3.2 reproduction shape: multi-table window union throughput as the
   * window size grows — the Flink-style static engine (hash routing +
@@ -16,19 +16,32 @@ object WindowUnionAblation {
     def ratio: Double = selfAdjTps / staticTps
   }
 
+  /** Timed runs per engine and window. */
+  private val Reps = 5
+
+  /** Throughput per window size, each the median of `Reps` timed runs
+    * per engine. Both engines run once untimed first, and the timed runs
+    * alternate which engine goes first, so neither is timed cold.
+    */
   def run(nTuples: Int = 100000, nKeys: Int = 8,
           windows: Seq[Long] = Seq(1000L, 10000L, 50000L), nWorkers: Int = 4): Seq[UnionRow] = {
     val tuples = LocalGen.unionStream(nTuples, nKeys, alpha = 1.2, seed = 41)
-    windows.map { w =>
-      val sa = new SelfAdjustingUnion(nWorkers, w, rebalanceEvery = 10000)
-      val t1 = System.nanoTime()
-      sa.run(tuples)
-      val saTps = nTuples / ((System.nanoTime() - t1) / 1e9)
-      val st = new StaticUnion(nWorkers, w)
+    def tps(engine: ThreadedEngine): Double = {
       val t0 = System.nanoTime()
-      st.run(tuples)
-      val stTps = nTuples / ((System.nanoTime() - t0) / 1e9)
-      UnionRow(w, stTps, saTps)
+      engine.run(tuples)
+      nTuples / ((System.nanoTime() - t0) / 1e9)
+    }
+    def median(xs: Seq[Double]): Double = { val s = xs.sorted; s(s.size / 2) }
+    windows.map { w =>
+      val engines = Seq[() => ThreadedEngine](
+        () => new StaticUnion(nWorkers, w),
+        () => new SelfAdjustingUnion(nWorkers, w, rebalanceEvery = 10000))
+      engines.foreach(mk => tps(mk()))
+      val timed = (0 until Reps).map { i =>
+        val order = if (i % 2 == 0) engines.indices else engines.indices.reverse
+        order.map(e => e -> tps(engines(e)())).toMap
+      }
+      UnionRow(w, median(timed.map(_(0))), median(timed.map(_(1))))
     }
   }
 

@@ -64,16 +64,11 @@ final class PreAggTable(val levels: Seq[Long]) {
   /** Merge partials covering ts in [lo, hi] for `key`; `raw` scans raw
     * rows for sub-bucket edges and must return (ts, value) pairs.
     */
-  def query(key: String, lo0: Long, hi0: Long,
+  def query(key: String, lo: Long, hi: Long,
             raw: (Long, Long) => Iterator[(Long, Double)]): Partial = {
     lastQueryBuckets = 0
     lastQueryRawRows = 0
     val agg = state.get(key)
-    // NOTE: do not clamp [lo, hi] to the observed data range — shrinking
-    // the range turns fully-covered buckets into ragged edges and loses
-    // coverage. Empty raw-edge scans are short-circuited by the store
-    // itself (TimeList tracks its min/max ts).
-    val (lo, hi) = (lo0, hi0)
     def scanRaw(l: Long, h: Long): Partial =
       raw(l, h).foldLeft(Partial.empty) { case (p, (_, v)) => lastQueryRawRows += 1; p.add(v) }
     def cover(levelIdx: Int, l: Long, h: Long): Partial = {

@@ -132,13 +132,15 @@ final class RequestEngine(
     */
   def request(req: Map[String, Any]): Map[String, Any] = {
     val frameCache = scala.collection.mutable.HashMap.empty[String, Seq[Map[String, Any]]]
+    val partials = new Array[Partial](bindings.length)
     var out = req
-    spec.features.foreach { f =>
-      val w = spec.window(f.window)
-      val value = preAggValue(f, w, req).getOrElse {
-        val rows = frameCache.getOrElseUpdate(w.name, frameRows(w, req))
-        computeFn(f.fn, rows)
-      }
+    plan.foreach { case (f, w, b) =>
+      val value =
+        if (b < 0) computeFn(f.fn, frameCache.getOrElseUpdate(w.name, frameRows(w, req)))
+        else {
+          if (partials(b) == null) partials(b) = preAggPartial(bindings(b), req)
+          fromPartial(f.fn, partials(b), req.get(bindings(b).valCol).exists(_ != null))
+        }
       out = out.updated(f.name, value)
     }
     spec.lastJoins.foreach { lj =>
@@ -152,40 +154,63 @@ final class RequestEngine(
     out
   }
 
-  /** §5.1 fast path: count/sum/avg/min/max over a pre-aggregated long
-    * window merge bucket partials plus the raw edge and the virtual row.
+  /** A pre-aggregation serving a window: its value column and table. */
+  private final class PreAggBinding(val w: WindowDef, val valCol: String, val pa: PreAggTable)
+
+  /** The §5.1 binding rule: count/sum/avg/min/max over a non-union window
+    * with an aggregator for the value column. Count can ride on any
+    * aggregator of its window (bucket `cnt` counts rows with a non-null
+    * value column — the deployment contract).
     */
-  private def preAggValue(f: Feature, w: WindowDef, req: Map[String, Any]): Option[Any] = {
-    if (w.unionTables.nonEmpty) return None
-    // Count can ride on any aggregator of this window (bucket `cnt` counts
-    // rows with a non-null value column — the deployment contract).
-    val binding: Option[(String, PreAggTable)] = f.fn match {
+  private def bindingOf(f: Feature, w: WindowDef): Option[(String, PreAggTable)] =
+    if (w.unionTables.nonEmpty) None
+    else f.fn match {
       case FeatureFn.Sum(c) => preAgg.get((w.name, c)).map((c, _))
       case FeatureFn.Avg(c) => preAgg.get((w.name, c)).map((c, _))
       case FeatureFn.Min(c) => preAgg.get((w.name, c)).map((c, _))
       case FeatureFn.Max(c) => preAgg.get((w.name, c)).map((c, _))
-      case FeatureFn.Count  =>
-        preAgg.collectFirst { case ((wn, c), pa) if wn == w.name => (c, pa) }
-      case _ => None
-    }
-    val (valCol, pa) = binding.getOrElse(return None)
-    val key = String.valueOf(req(w.keyCol))
-    val t   = num(req(w.tsCol)).toLong
-    val merged0 = pa.query(key, t - w.rangeMs, t,
-      (lo, hi) => primary.scan(key, lo, hi).map { case (ts, r) => (ts, num(r(valCol))) })
-    // The virtual request row participates in its own frame.
-    val merged = req.get(valCol).filter(_ != null) match {
-      case Some(v) => merged0.add(num(v))
-      case None if f.fn == FeatureFn.Count => merged0.add(0.0)
-      case None    => merged0
-    }
-    f.fn match {
-      case FeatureFn.Count  => Some(merged.cnt)
-      case FeatureFn.Sum(_) => Some(if (merged.cnt == 0) null else merged.sum)
-      case FeatureFn.Avg(_) => Some(if (merged.cnt == 0) null else merged.sum / merged.cnt)
-      case FeatureFn.Min(_) => Some(if (merged.cnt == 0) null else merged.min)
-      case FeatureFn.Max(_) => Some(if (merged.cnt == 0) null else merged.max)
+      case FeatureFn.Count  => preAgg.collectFirst { case ((wn, c), pa) if wn == w.name => (c, pa) }
       case _                => None
     }
+
+  /** Each feature with its window resolved and the index of the binding
+    * in `bindings` that serves it (-1: fold the raw frame), so a request
+    * merges each `(window, value column)` pre-aggregation once.
+    */
+  private val (plan, bindings): (Seq[(Feature, WindowDef, Int)], Array[PreAggBinding]) = {
+    val bs = scala.collection.mutable.ArrayBuffer.empty[PreAggBinding]
+    val p = spec.features.map { f =>
+      val w = spec.window(f.window)
+      val b = bindingOf(f, w).fold(-1) { case (c, pa) =>
+        val i = bs.indexWhere(x => x.w.name == w.name && x.valCol == c)
+        if (i >= 0) i else { bs += new PreAggBinding(w, c, pa); bs.length - 1 }
+      }
+      (f, w, b)
+    }
+    (p, bs.toArray)
+  }
+
+  /** §5.1 fast path: bucket partials plus the raw edges and the virtual
+    * row's value (when not null) for one binding.
+    */
+  private def preAggPartial(b: PreAggBinding, req: Map[String, Any]): Partial = {
+    val key = String.valueOf(req(b.w.keyCol))
+    val t   = num(req(b.w.tsCol)).toLong
+    val merged = b.pa.query(key, t - b.w.rangeMs, t,
+      (lo, hi) => primary.scan(key, lo, hi).map { case (ts, r) => (ts, num(r(b.valCol))) })
+    req.get(b.valCol).filter(_ != null).fold(merged)(v => merged.add(num(v)))
+  }
+
+  /** One pre-aggregated feature from its binding's merged partial; the
+    * virtual row is in every frame, so Count takes it even when its value
+    * column is null.
+    */
+  private def fromPartial(fn: FeatureFn, p: Partial, reqHasValue: Boolean): Any = fn match {
+    case FeatureFn.Count  => if (reqHasValue) p.cnt else p.cnt + 1
+    case FeatureFn.Sum(_) => if (p.cnt == 0) null else p.sum
+    case FeatureFn.Avg(_) => if (p.cnt == 0) null else p.sum / p.cnt
+    case FeatureFn.Min(_) => if (p.cnt == 0) null else p.min
+    case FeatureFn.Max(_) => if (p.cnt == 0) null else p.max
+    case other            => throw new IllegalStateException(s"$other has no pre-aggregated form")
   }
 }

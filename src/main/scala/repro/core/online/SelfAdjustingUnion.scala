@@ -1,6 +1,7 @@
 package repro.core.online
 
 import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, LinkedBlockingQueue}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import scala.collection.mutable.ArrayBuffer
 
 /** Multi-table window-union streaming executors (§5.2 and §9.3.2).
@@ -97,14 +98,13 @@ object WindowUnionStream {
 
   private final class KeyProgress(var next: Int, var lastTs: Long)
 
-  sealed abstract class ThreadedEngine(nWorkers: Int) {
-    protected val states = new ConcurrentHashMap[String, KeyState]()
-    private val seqDone = new ConcurrentHashMap[String, java.util.concurrent.atomic.AtomicInteger]()
+  abstract class ThreadedEngine(nWorkers: Int) {
 
     /** worker id for a tuple at submission time */
     protected def route(key: String): Int
 
-    protected def handle(t: StreamTuple): Double
+    /** Answers `t` from its key's state in the current run. */
+    protected def handle(t: StreamTuple, st: KeyState): Double
 
     /** Run the whole stream; returns per-tuple results in input order.
       *
@@ -117,8 +117,13 @@ object WindowUnionStream {
       * successor. Ordering stays exact with zero spinning — the §5.2
       * contract without the throughput cliff of busy requeueing.
       *
+      * Key states and sequence gates belong to one call, so an engine can
+      * run any number of streams.
+      *
       * @throws IllegalArgumentException if a key's `ts` goes backwards in
       *         `tuples`; checked before any worker starts
+      * @throws Throwable the first error a worker hit (in `handle` or
+      *         `onProcessed`), after the other workers drained their queues
       */
     def run(tuples: IndexedSeq[StreamTuple]): Array[Double] = {
       val results = new Array[Double](tuples.length)
@@ -138,16 +143,19 @@ object WindowUnionStream {
         }
         out
       }
+      val states = new ConcurrentHashMap[String, KeyState]()
+      val seqDone = new ConcurrentHashMap[String, AtomicInteger]()
       // (key, seq) -> parked tuple index awaiting its predecessor
       val pending = new ConcurrentHashMap[(String, Int), Integer]()
       val queues = Array.fill(nWorkers)(new LinkedBlockingQueue[Integer]())
       val done = new CountDownLatch(nWorkers)
+      val failure = new AtomicReference[Throwable]()
 
       def process(idx0: Int): Unit = {
         var idx = idx0
         while (idx >= 0) {
           val t = tuples(idx)
-          results(idx) = handle(t)
+          results(idx) = handle(t, states.computeIfAbsent(t.key, _ => new KeyState))
           onProcessed()
           val gate = seqDone.get(t.key)
           val nextSeq = gate.incrementAndGet()
@@ -159,27 +167,31 @@ object WindowUnionStream {
 
       val workers = (0 until nWorkers).map { w =>
         val th = new Thread(() => {
-          var stop = false
-          while (!stop) {
-            val idx = queues(w).take()
-            if (idx < 0) stop = true
-            else {
-              val t = tuples(idx)
-              val gate = seqDone.computeIfAbsent(t.key,
-                _ => new java.util.concurrent.atomic.AtomicInteger(0))
-              if (gate.get() == seqOf(idx)) process(idx)
+          try {
+            var stop = false
+            while (!stop) {
+              val idx = queues(w).take()
+              if (idx < 0) stop = true
               else {
-                // park; re-check the gate to close the race where the
-                // predecessor finished between our check and the put
-                pending.put((t.key, seqOf(idx)), idx)
-                if (gate.get() == seqOf(idx)) {
-                  val again = pending.remove((t.key, seqOf(idx)))
-                  if (again != null) process(again.intValue())
+                val t = tuples(idx)
+                val gate = seqDone.computeIfAbsent(t.key, _ => new AtomicInteger(0))
+                if (gate.get() == seqOf(idx)) process(idx)
+                else {
+                  // park; re-check the gate to close the race where the
+                  // predecessor finished between our check and the put
+                  pending.put((t.key, seqOf(idx)), idx)
+                  if (gate.get() == seqOf(idx)) {
+                    val again = pending.remove((t.key, seqOf(idx)))
+                    if (again != null) process(again.intValue())
+                  }
                 }
               }
             }
-          }
-          done.countDown()
+          } catch {
+            // this worker stops; the others drain their queues (their
+            // tuples never wait on it) and run rethrows once all are done
+            case e: Throwable => failure.compareAndSet(null, e)
+          } finally done.countDown()
         }, s"union-worker-$w")
         th.setDaemon(true); th.start(); th
       }
@@ -187,6 +199,8 @@ object WindowUnionStream {
       queues.foreach(_.put(-1))
       done.await()
       workers.foreach(_.join())
+      val err = failure.get()
+      if (err != null) throw err
       // a parked tail tuple whose predecessor chain completed after the
       // final poison is impossible: chains fire synchronously inside
       // process(), so by worker exit every tuple has been handled
@@ -195,14 +209,12 @@ object WindowUnionStream {
     }
 
     protected def onProcessed(): Unit = ()
-    protected def state(key: String): KeyState =
-      states.computeIfAbsent(key, _ => new KeyState)
   }
 
   /** Flink-style baseline: static hash routing + O(w) rescan per tuple. */
   final class StaticUnion(nWorkers: Int, windowMs: Long) extends ThreadedEngine(nWorkers) {
     protected def route(key: String): Int = math.floorMod(key.hashCode, nWorkers)
-    protected def handle(t: StreamTuple): Double = state(t.key).rescan(t.ts, t.value, windowMs)
+    protected def handle(t: StreamTuple, st: KeyState): Double = st.rescan(t.ts, t.value, windowMs)
   }
 
   /** The paper's engine: dynamic key->worker routing + subtract-and-evict. */
@@ -219,7 +231,7 @@ object WindowUnionStream {
       if (r != null) r.intValue() else math.floorMod(key.hashCode, nWorkers)
     }
 
-    protected def handle(t: StreamTuple): Double = state(t.key).addAndQuery(t.ts, t.value, windowMs)
+    protected def handle(t: StreamTuple, st: KeyState): Double = st.addAndQuery(t.ts, t.value, windowMs)
 
     override protected def onProcessed(): Unit = {
       if (sinceRebalance.incrementAndGet() % rebalanceEvery == 0) rebalance()

@@ -1,7 +1,7 @@
 package repro.storage
 
 import java.util.concurrent.ThreadLocalRandom
-import java.util.concurrent.atomic.{AtomicLong, AtomicReference, AtomicReferenceArray}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference, AtomicReferenceArray}
 import scala.annotation.tailrec
 
 /** Lock-free concurrent skiplist index (first layer of §7.2).
@@ -50,20 +50,38 @@ final class ConcurrentSkipIndex[K, V](implicit ord: Ordering[K]) {
     (preds, succs)
   }
 
+  /** First node with key >= `key`, by a read-only walk (no arrays). */
+  private def ceiling(key: K): Node = {
+    var cur = head
+    var nxt: Node = null
+    var l = MaxLevel - 1
+    while (l >= 0) {
+      nxt = cur.next.get(l)
+      while (nxt != null && ord.lt(nxt.key, key)) { cur = nxt; nxt = cur.next.get(l) }
+      l -= 1
+    }
+    nxt
+  }
+
   def get(key: K): Option[V] = {
-    val n = findPreds(key)._2(0)
+    val n = ceiling(key)
     if (n != null && ord.equiv(n.key, key)) Some(n.value) else None
   }
 
   /** Insert `key -> mk()` if absent; returns the (existing or new) value. */
-  @tailrec def getOrInsert(key: K, mk: => V): V = {
+  def getOrInsert(key: K, mk: => V): V = {
+    val n = ceiling(key)
+    if (n != null && ord.equiv(n.key, key)) n.value else insert(key, mk)
+  }
+
+  @tailrec private def insert(key: K, mk: => V): V = {
     val (preds, succs) = findPreds(key)
     val at0 = succs(0)
     if (at0 != null && ord.equiv(at0.key, key)) at0.value
     else {
       val node = new Node(key, mk, randomLevel())
       node.next.set(0, at0)
-      if (!preds(0).next.compareAndSet(0, at0, node)) getOrInsert(key, mk) // lost the race; retry
+      if (!preds(0).next.compareAndSet(0, at0, node)) insert(key, mk) // lost the race; retry
       else {
         count.incrementAndGet()
         // Link the upper levels; a failed CAS at level l re-walks. A node
@@ -98,7 +116,7 @@ final class ConcurrentSkipIndex[K, V](implicit ord: Ordering[K]) {
 
   /** Entries with key >= `from`, in key order. */
   def iteratorFrom(from: K): Iterator[(K, V)] = new Iterator[(K, V)] {
-    private var cur = findPreds(from)._2(0)
+    private var cur = ceiling(from)
     def hasNext: Boolean = cur != null
     def next(): (K, V) = { val r = (cur.key, cur.value); cur = cur.next.get(0); r }
   }
@@ -106,104 +124,177 @@ final class ConcurrentSkipIndex[K, V](implicit ord: Ordering[K]) {
 
 /** One stored tuple: timestamp plus an opaque payload (typically a
   * `RowCodec`-encoded byte array, but tests also store decoded values).
+  * [[TimeList]] hands out its own nodes as entries, so reads allocate
+  * nothing per row.
   */
-final case class TsEntry[P](ts: Long, payload: P)
+trait TsEntry[P] {
+  def ts: Long
+  def payload: P
+}
 
-/** Second layer of §7.2: a lock-free singly-linked list of entries in
-  * DESCENDING timestamp order (newest first — the common online access
-  * pattern "latest rows for this key" is a head walk).
+/** Second layer of §7.2: a lock-free skiplist of entries in DESCENDING
+  * timestamp order (newest first); among equal timestamps the newest
+  * insert comes first.
   *
-  * Inserts CAS the predecessor's next pointer; TTL eviction batch-cuts the
-  * stale tail with a single CAS (all expired nodes are contiguous at the
-  * tail because the list is time-ordered).
+  * `scan` and `latest` seek to a window edge in O(log n) and then walk
+  * level 0. Inserts link bottom-up with CAS; one whose ts is at or above
+  * the newest entry (time-ordered ingest) links at the head with no
+  * search. Upper levels are shortcuts only: every search moves past nodes
+  * with ts strictly above its target, so they need no tie order of their
+  * own. TTL eviction cuts the stale tail of each level with one CAS (all
+  * expired nodes are contiguous at the tail because the list is
+  * time-ordered).
   */
 final class TimeList[P] {
-  private final class Node(val entry: TsEntry[P]) {
-    val next = new AtomicReference[Node](null)
-  }
-  private val head = new AtomicReference[Node](null)
+  import TimeList._
+
+  private val head = new Node[P](Long.MaxValue, null.asInstanceOf[P], new AtomicReferenceArray(MaxLevel - 1))
   private val count = new AtomicLong(0)
-  // Observed ts bounds, maintained monotonically on insert (CAS so racy
-  // concurrent inserts can only widen them); scans outside
-  // [minSeen, maxSeen] return empty without walking the list (a range
-  // below the oldest entry would otherwise cost a full O(n) walk).
-  private val minSeenRef = new AtomicLong(Long.MaxValue)
-  private val maxSeenRef = new AtomicLong(Long.MinValue)
-  private def minSeen: Long = minSeenRef.get()
-  private def maxSeen: Long = maxSeenRef.get()
+  // Levels in use: raised before a taller node links, never lowered, so
+  // searches and trims that start at `top - 1` see every linked level.
+  private val top = new AtomicInteger(1)
 
-  @tailrec private def insertFrom(prev: Node, e: TsEntry[P]): Unit = {
-    // Find insertion point: first node with ts <= e.ts (descending order).
-    val start = if (prev == null) head.get() else prev.next.get()
-    var p = prev
-    var cur = start
-    while (cur != null && cur.entry.ts > e.ts) { p = cur; cur = p.next.get() }
-    val node = new Node(e)
-    node.next.set(cur)
-    val ok =
-      if (p == null) head.compareAndSet(cur, node)
-      else p.next.compareAndSet(cur, node)
-    if (ok) { count.incrementAndGet(); () } else insertFrom(p, e)
+  /** Last node at `level` with ts > `ts`, searching down from the top. */
+  private def predAt(ts: Long, level: Int): Node[P] = {
+    var x = head
+    var l = math.max(top.get() - 1, level)
+    while (l >= level) {
+      var n = x.next(l)
+      while (n != null && n.ts > ts) { x = n; n = x.next(l) }
+      l -= 1
+    }
+    x
   }
 
-  def insert(e: TsEntry[P]): Unit = {
-    minSeenRef.accumulateAndGet(e.ts, (a, b) => math.min(a, b))
-    maxSeenRef.accumulateAndGet(e.ts, (a, b) => math.max(a, b))
-    insertFrom(null, e)
+  /** Links `node` at level `l` after `from` or a later node with ts above
+    * `node.ts`. The CAS validates the successor the walk saw, so a node
+    * that slipped in meanwhile makes it re-walk rather than link out of
+    * order.
+    */
+  private def linkAt(node: Node[P], l: Int, from: Node[P]): Unit = {
+    var pred = from
+    var done = false
+    while (!done) {
+      var succ = pred.next(l)
+      while (succ != null && succ.ts > node.ts) { pred = succ; succ = pred.next(l) }
+      node.setNext(l, succ)
+      done = pred.casNext(l, succ, node)
+    }
+  }
+
+  def insert(ts: Long, payload: P): Unit = {
+    val h = randomHeight()
+    val node = new Node[P](ts, payload, if (h > 1) new AtomicReferenceArray(h - 1) else null)
+    val first = head.get()
+    val newest = first == null || first.ts <= ts
+    if (h > top.get()) top.accumulateAndGet(h, (a, b) => math.max(a, b))
+    var l = 0
+    while (l < h) {
+      linkAt(node, l, if (newest) head else predAt(ts, l))
+      l += 1
+    }
+    count.incrementAndGet()
+  }
+
+  /** First entry with ts <= `t`, or null. */
+  private def seek(t: Long): Node[P] = {
+    val first = head.get()
+    if (first == null || first.ts <= t) first
+    else {
+      var n = predAt(t, 0).get()
+      while (n != null && n.ts > t) n = n.get()
+      n
+    }
   }
 
   /** Newest-first iterator. */
-  def iterator: Iterator[TsEntry[P]] = new Iterator[TsEntry[P]] {
-    private var cur = head.get()
+  def iterator: Iterator[TsEntry[P]] = walk(head.get(), Long.MinValue)
+
+  private def walk(from: Node[P], lo: Long): Iterator[TsEntry[P]] = new Iterator[TsEntry[P]] {
+    private var cur = if (from != null && from.ts >= lo) from else null
     def hasNext: Boolean = cur != null
-    def next(): TsEntry[P] = { val r = cur.entry; cur = cur.next.get(); r }
+    def next(): TsEntry[P] = {
+      val r = cur
+      val n = cur.get()
+      cur = if (n != null && n.ts >= lo) n else null
+      r
+    }
   }
 
-  /** Entries with ts in [lo, hi], newest first (walks from the head and
-    * stops at the first node older than `lo` — time-ordering makes range
-    * scans prefix walks, the paper's point).
+  /** Entries with ts in [lo, hi], newest first: a seek to the first entry
+    * at or below `hi`, then a level-0 walk down to `lo`.
     */
   def scan(lo: Long, hi: Long): Iterator[TsEntry[P]] =
-    if (hi < minSeen || lo > maxSeen) Iterator.empty
-    else iterator.dropWhile(_.ts > hi).takeWhile(_.ts >= lo)
+    if (lo > hi) Iterator.empty else walk(seek(hi), lo)
 
   /** Most recent entry with ts <= `atOrBefore` (LAST JOIN's lookup). */
-  def latest(atOrBefore: Long = Long.MaxValue): Option[TsEntry[P]] =
-    if (atOrBefore < minSeen) None
-    else iterator.dropWhile(_.ts > atOrBefore).take(1).toSeq.headOption
+  def latest(atOrBefore: Long = Long.MaxValue): Option[TsEntry[P]] = Option(seek(atOrBefore))
 
   /** Batch-delete every entry with ts < cutoff (§7.2 "Out-of-Date Data
-    * Removal"): walk to the boundary and cut the tail with one CAS.
+    * Removal"): cut each level's stale tail with one CAS, upper levels
+    * first so no seek can jump into a cut tail.
     */
-  def trimBefore(cutoff: Long): Int = {
-    var removed = 0
+  def trimBefore(cutoff: Long): Int =
+    if (cutoff == Long.MinValue) 0
+    else {
+      var l = top.get() - 1
+      while (l >= 1) { cutAt(l, cutoff); l -= 1 }
+      val tail = cutAt(0, cutoff)
+      var n = 0
+      var c = tail
+      while (c != null) { n += 1; c = c.get() }
+      count.addAndGet(-n)
+      n
+    }
+
+  /** Unlinks level `l` below the last node with ts >= cutoff; returns the
+    * first node cut (null when nothing was).
+    */
+  private def cutAt(l: Int, cutoff: Long): Node[P] = {
+    var pred = predAt(cutoff - 1, l)
+    var cut: Node[P] = null
     var done = false
     while (!done) {
-      var p: Node = null
-      var cur = head.get()
-      while (cur != null && cur.entry.ts >= cutoff) { p = cur; cur = p.next.get() }
-      if (cur == null) done = true
-      else {
-        var n = 0; var c = cur; while (c != null) { n += 1; c = c.next.get() }
-        val ok = if (p == null) head.compareAndSet(cur, null) else p.next.compareAndSet(cur, null)
-        if (ok) { removed += n; count.addAndGet(-n); done = true }
-        // else a concurrent insert moved the boundary; retry
-      }
+      var succ = pred.next(l)
+      while (succ != null && succ.ts >= cutoff) { pred = succ; succ = pred.next(l) }
+      done = succ == null || pred.casNext(l, succ, null)
+      if (done) cut = succ
+      // else a concurrent insert moved the boundary; re-walk from pred
     }
-    removed
+    cut
   }
 
   def size: Long = count.get()
 }
 
+object TimeList {
+  private val MaxLevel = 16
+
+  /** A list node is its own entry: ts and payload inline, the level-0
+    * link in the node itself, and links for levels 1+ only on nodes
+    * taller than one level.
+    */
+  private final class Node[P](val ts: Long, val payload: P, up: AtomicReferenceArray[Node[P]])
+      extends AtomicReference[Node[P]] with TsEntry[P] {
+    def next(l: Int): Node[P] = if (l == 0) get() else up.get(l - 1)
+    def setNext(l: Int, n: Node[P]): Unit = if (l == 0) set(n) else up.set(l - 1, n)
+    def casNext(l: Int, expect: Node[P], update: Node[P]): Boolean =
+      if (l == 0) compareAndSet(expect, update) else up.compareAndSet(l - 1, expect, update)
+  }
+
+  /** Level count with P(height > k) = 4^-k, capped at MaxLevel. */
+  private def randomHeight(): Int =
+    1 + (Integer.numberOfTrailingZeros(ThreadLocalRandom.current().nextInt() | (1 << 30)) >> 1)
+}
+
 /** The composed two-layer store: skiplist of keys, each holding a
-  * time-ordered list of payloads. This is the online tablet's memtable.
+  * timestamp skiplist of payloads. This is the online tablet's memtable.
   */
 final class TimeSeriesStore[K, P](implicit ord: Ordering[K]) {
   private val index = new ConcurrentSkipIndex[K, TimeList[P]]
 
   def put(key: K, ts: Long, payload: P): Unit =
-    index.getOrInsert(key, new TimeList[P]).insert(TsEntry(ts, payload))
+    index.getOrInsert(key, new TimeList[P]).insert(ts, payload)
 
   def scan(key: K, lo: Long, hi: Long): Iterator[TsEntry[P]] =
     index.get(key).map(_.scan(lo, hi)).getOrElse(Iterator.empty)

@@ -130,4 +130,67 @@ class RequestEngineSpec extends AnyFunSuite {
     assert(out("price_sum") == null)
     assert(out("cnt") == 1L)
   }
+
+  test("every pre-aggregated function of a window equals the raw-scan path") {
+    val spec = FeatureSpec(
+      primary = "actions",
+      windows = Seq(WindowDef("w10s", "userid", "ts", 10000L)),
+      features = Seq(
+        Feature("n", FeatureFn.Count, "w10s"),
+        Feature("s", FeatureFn.Sum("price"), "w10s"),
+        Feature("a", FeatureFn.Avg("price"), "w10s"),
+        Feature("lo", FeatureFn.Min("price"), "w10s"),
+        Feature("hi", FeatureFn.Max("price"), "w10s")))
+    def engine(preAgg: Map[(String, String), PreAggTable]) =
+      new RequestEngine(spec, Map("actions" -> new OnlineTable("userid", "ts")), preAgg)
+    val engPre = engine(Map(("w10s", "price") -> new PreAggTable(Seq(100L, 1000L))))
+    val engRaw = engine(Map.empty)
+    val rnd = new scala.util.Random(9)
+    (1 to 400).foreach { i =>
+      val a = action(1, i * 37L, rnd.nextInt(100).toDouble, "c")
+      engPre.insert("actions", a); engRaw.insert("actions", a)
+    }
+    Seq(action(1, 14000, 5.0, "c"), action(1, 14000, 500.0, "c"), action(1, 14000, -1.0, "c"),
+        Map[String, Any]("userid" -> 1L, "ts" -> 14000L, "price" -> null),
+        Map[String, Any]("userid" -> 2L, "ts" -> 14000L, "price" -> null)).foreach { req =>
+      val (p, r) = (engPre.request(req), engRaw.request(req))
+      Seq("n", "lo", "hi").foreach(f => assert(p(f) == r(f), s"$f for $req"))
+      Seq("s", "a").foreach { f =>
+        (p(f), r(f)) match {
+          case (x: Double, y: Double) => assert(math.abs(x - y) < 1e-9, s"$f for $req")
+          case (x, y)                 => assert(x == y, s"$f for $req")
+        }
+      }
+    }
+  }
+
+  test("concurrent ingest and serving over disjoint keys matches a single-threaded replay") {
+    val rnd = new scala.util.Random(31)
+    // (key, table or null for a request, row); ts mostly ascending with
+    // some late rows
+    val log = (0 until 20000).map { i =>
+      val u = rnd.nextInt(40).toLong
+      val ts = i * 7L - (if (rnd.nextInt(10) == 0) rnd.nextInt(3000) else 0)
+      rnd.nextInt(10) match {
+        case k if k < 4 => (u, "actions", action(u, ts, rnd.nextInt(100).toDouble, s"c${rnd.nextInt(4)}"))
+        case 4          => (u, "orders", action(u, ts, rnd.nextInt(100).toDouble, s"c${rnd.nextInt(4)}"))
+        case 5          => (u, "profile", Map[String, Any]("userid" -> u, "pts" -> ts, "segment" -> s"s${i % 5}"))
+        case _          => (u, null, action(u, i * 7L, rnd.nextInt(100).toDouble, s"c${rnd.nextInt(4)}"))
+      }
+    }
+    def step(eng: RequestEngine, i: Int): Map[String, Any] = log(i) match {
+      case (_, null, req)   => eng.request(req)
+      case (_, table, row)  => eng.insert(table, row); null
+    }
+    def withPreAgg() = mkEngine(Map(("w10s", "price") -> new PreAggTable(Seq(100L, 1000L))))._1
+    val serial = withPreAgg()
+    val want = log.indices.map(step(serial, _))
+    val shared = withPreAgg()
+    val got = new Array[Map[String, Any]](log.length)
+    val threads = (0 until 2).map { part =>
+      new Thread(() => log.indices.foreach(i => if (log(i)._1 % 2 == part) got(i) = step(shared, i)))
+    }
+    threads.foreach(_.start()); threads.foreach(_.join())
+    log.indices.foreach(i => assert(got(i) == want(i), s"event $i: ${log(i)}"))
+  }
 }

@@ -120,4 +120,27 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
     }
     assert(stamps.last > 10 * windowMs)
   }
+
+  test("a worker that throws makes run throw instead of hanging") {
+    val tuples = LocalGen.unionStream(20000, nKeys = 50, seed = 26)
+    val bad = tuples(12345)
+    val eng = new ThreadedEngine(3) {
+      protected def route(key: String): Int = math.floorMod(key.hashCode, 3)
+      protected def handle(t: StreamTuple, st: KeyState): Double =
+        if (t eq bad) throw new IllegalStateException("boom") else st.addAndQuery(t.ts, t.value, 500)
+    }
+    val e = intercept[IllegalStateException](failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler))
+    assert(e.getMessage == "boom")
+  }
+
+  test("one engine runs the same stream twice with the same answers") {
+    val tuples = LocalGen.unionStream(20000, nKeys = 50, alpha = 1.5, seed = 27)
+    val want = sequentialReference(tuples, 500)
+    val selfAdj = new SelfAdjustingUnion(4, windowMs = 500, rebalanceEvery = 3000)
+    val static = new StaticUnion(4, windowMs = 500)
+    (1 to 2).foreach { _ =>
+      closeEnough(failAfter(60.seconds)(selfAdj.run(tuples))(ThreadSignaler), want)
+      closeEnough(failAfter(60.seconds)(static.run(tuples))(ThreadSignaler), want)
+    }
+  }
 }

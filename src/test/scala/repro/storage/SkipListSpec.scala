@@ -1,9 +1,18 @@
 package repro.storage
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicBoolean
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class SkipListSpec extends AnyFunSuite {
+
+  private def check(p: Prop): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), p)
+    assert(res.passed, res.status.toString)
+  }
 
   // ------------------------------------------------- ConcurrentSkipIndex
 
@@ -61,26 +70,26 @@ class SkipListSpec extends AnyFunSuite {
 
   test("timelist: iterator is newest-first") {
     val tl = new TimeList[String]
-    Seq(3L, 1L, 2L, 5L, 4L).foreach(t => tl.insert(TsEntry(t, s"p$t")))
+    Seq(3L, 1L, 2L, 5L, 4L).foreach(t => tl.insert(t, s"p$t"))
     assert(tl.iterator.map(_.ts).toSeq == Seq(5L, 4L, 3L, 2L, 1L))
   }
 
   test("timelist: scan returns the closed time range, newest first") {
     val tl = new TimeList[Int]
-    (1L to 10L).foreach(t => tl.insert(TsEntry(t, t.toInt)))
+    (1L to 10L).foreach(t => tl.insert(t, t.toInt))
     assert(tl.scan(3, 7).map(_.ts).toSeq == Seq(7L, 6L, 5L, 4L, 3L))
   }
 
   test("timelist: duplicate timestamps are all retained") {
     val tl = new TimeList[Int]
-    Seq(5L, 5L, 5L, 3L).foreach(t => tl.insert(TsEntry(t, 0)))
+    Seq(5L, 5L, 5L, 3L).foreach(t => tl.insert(t, 0))
     assert(tl.scan(5, 5).size == 3)
     assert(tl.size == 4)
   }
 
   test("timelist: latest returns the newest at-or-before entry") {
     val tl = new TimeList[String]
-    Seq(10L, 20L, 30L).foreach(t => tl.insert(TsEntry(t, s"p$t")))
+    Seq(10L, 20L, 30L).foreach(t => tl.insert(t, s"p$t"))
     assert(tl.latest().map(_.payload).contains("p30"))
     assert(tl.latest(25L).map(_.payload).contains("p20"))
     assert(tl.latest(5L).isEmpty)
@@ -88,7 +97,7 @@ class SkipListSpec extends AnyFunSuite {
 
   test("timelist: trimBefore batch-deletes the stale tail") {
     val tl = new TimeList[Int]
-    (1L to 100L).foreach(t => tl.insert(TsEntry(t, 0)))
+    (1L to 100L).foreach(t => tl.insert(t, 0))
     val removed = tl.trimBefore(40L)
     assert(removed == 39)
     assert(tl.size == 61)
@@ -98,19 +107,93 @@ class SkipListSpec extends AnyFunSuite {
   test("timelist: trimBefore on an empty or all-fresh list removes nothing") {
     val tl = new TimeList[Int]
     assert(tl.trimBefore(10L) == 0)
-    tl.insert(TsEntry(50L, 1))
+    tl.insert(50L, 1)
     assert(tl.trimBefore(10L) == 0 && tl.size == 1)
   }
 
   test("timelist: concurrent mostly-ascending inserts keep descending order") {
     val tl = new TimeList[Int]
     val threads = (0 until 4).map { t =>
-      new Thread(() => (0 until 2000).foreach(i => tl.insert(TsEntry(i.toLong * 4 + t, i))))
+      new Thread(() => (0 until 2000).foreach(i => tl.insert(i.toLong * 4 + t, i)))
     }
     threads.foreach(_.start()); threads.foreach(_.join())
     val ts = tl.iterator.map(_.ts).toSeq
     assert(ts.size == 8000)
     assert(ts == ts.sorted(Ordering[Long].reverse))
+  }
+
+  /** (ts, insert index) newest first: ts descending, then later inserts
+    * first among equal ts — the order TimeList promises.
+    */
+  private def reference(tss: Seq[Long]): Seq[(Long, Int)] =
+    tss.zipWithIndex.sortBy { case (t, i) => (-t, -i) }
+
+  private def filled(tss: Seq[Long]): TimeList[Int] = {
+    val tl = new TimeList[Int]
+    tss.zipWithIndex.foreach { case (t, i) => tl.insert(t, i) }
+    tl
+  }
+
+  private def pairs(it: Iterator[TsEntry[Int]]): Seq[(Long, Int)] = it.map(e => (e.ts, e.payload)).toSeq
+
+  test("property: timelist agrees with a sorted reference under ties and out-of-order inserts") {
+    val tss = Gen.choose(0, 600).flatMap(n => Gen.listOfN(n, Gen.chooseNum(0L, 80L)))
+    val bound = Gen.chooseNum(-5L, 85L)
+    val queries = Gen.listOfN(20, Gen.zip(bound, bound))
+    check(Prop.forAll(tss, queries, bound) { (tss, qs, cut) =>
+      val tl = filled(tss)
+      val ref = reference(tss)
+      def agrees(live: Seq[(Long, Int)]): Boolean =
+        pairs(tl.iterator) == live && tl.size == live.size &&
+          qs.forall { case (lo, hi) =>
+            pairs(tl.scan(lo, hi)) == live.filter { case (t, _) => t >= lo && t <= hi } &&
+              tl.latest(hi).map(e => (e.ts, e.payload)) == live.find(_._1 <= hi)
+          }
+      val before = agrees(ref)
+      val removed = tl.trimBefore(cut)
+      before && removed == ref.count(_._1 < cut) && agrees(ref.filter(_._1 >= cut))
+    })
+  }
+
+  test("timelist: after trimBefore no level reaches a cut node") {
+    val tl = new TimeList[Int]
+    (0 until 5000).foreach(i => tl.insert(i.toLong, i))
+    assert(tl.trimBefore(3000L) == 3000)
+    (0L until 3000L).foreach { t =>
+      assert(tl.latest(t).isEmpty, s"latest($t) reached a cut node")
+      assert(tl.scan(t - 100, t).isEmpty, s"scan(.., $t) reached a cut node")
+    }
+    assert(tl.latest(3000L).map(_.ts).contains(3000L))
+    assert(tl.scan(Long.MinValue, Long.MaxValue).map(_.ts).toSeq == (4999L to 3000L by -1L))
+  }
+
+  test("timelist: scans running beside 4 appending threads stay ordered and in range") {
+    val tl = new TimeList[Int]
+    val perThread = 20000
+    val appending = new AtomicBoolean(true)
+    val errors = new ConcurrentLinkedQueue[String]()
+    val appenders = (0 until 4).map { t =>
+      new Thread(() => (0 until perThread).foreach(i => tl.insert(i.toLong * 4 + t, t)))
+    }
+    val scanners = (0 until 2).map { s =>
+      new Thread(() => {
+        val rnd = new Random(s)
+        var scans = 0
+        while (appending.get() || scans < 100) {
+          val hi = rnd.nextLong(perThread * 4L)
+          val lo = hi - rnd.nextInt(2000)
+          val got = tl.scan(lo, hi).map(_.ts).toVector
+          if (got != got.sorted(Ordering[Long].reverse)) errors.add(s"scan($lo, $hi) not descending")
+          if (got.exists(t => t < lo || t > hi)) errors.add(s"scan($lo, $hi) left the range")
+          scans += 1
+        }
+      })
+    }
+    scanners.foreach(_.start()); appenders.foreach(_.start())
+    appenders.foreach(_.join()); appending.set(false); scanners.foreach(_.join())
+    assert(errors.isEmpty, errors.asScala.take(5).mkString("; "))
+    assert(tl.size == 4L * perThread)
+    assert(tl.iterator.map(_.ts).toSeq == ((4L * perThread - 1) to 0L by -1L))
   }
 
   // ---------------------------------------------------- TimeSeriesStore
