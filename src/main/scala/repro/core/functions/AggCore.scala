@@ -1,7 +1,5 @@
 package repro.core.functions
 
-import scala.collection.immutable.TreeMap
-
 /** The shared feature-function library (the JVM analogue of the paper's
   * "C++ library functions shared by the offline and online execution
   * engines", §3.1/§4.2). Every OpenMLDB-SQL aggregate is an incremental
@@ -63,9 +61,9 @@ object AggCore {
   }
 
   final class DistinctCountState extends State[String, Long] {
-    var seen: Set[String] = Set.empty
-    def update(in: String): Unit = if (in != null) seen += in
-    def merge(o: DistinctCountState): Unit = seen ++= o.seen
+    var seen = new java.util.HashSet[String]
+    def update(in: String): Unit = if (in != null) seen.add(in)
+    def merge(o: DistinctCountState): Unit = seen.addAll(o.seen)
     def result: Long = seen.size.toLong
   }
 
@@ -75,13 +73,31 @@ object AggCore {
     * ties broken by key ascending, joined with ",". (Table 1, §4.1 (1).)
     */
   final class TopNFreqState(var n: Int) extends State[String, String] {
-    var freq: Map[String, Long] = Map.empty
-    def update(in: String): Unit =
-      if (in != null) freq = freq.updated(in, freq.getOrElse(in, 0L) + 1)
-    def merge(o: TopNFreqState): Unit =
-      o.freq.foreach { case (k, c) => freq = freq.updated(k, freq.getOrElse(k, 0L) + c) }
-    def result: String =
-      freq.toSeq.sortBy { case (k, c) => (-c, k) }.take(n).map(_._1).mkString(",")
+    var freq = new java.util.HashMap[String, java.lang.Long]
+    def update(in: String): Unit = if (in != null) freq.merge(in, 1L, TopNFreqState.Plus)
+    def merge(o: TopNFreqState): Unit = o.freq.forEach((k, c) => freq.merge(k, c, TopNFreqState.Plus))
+    def result: String = {
+      val es = freq.entrySet.toArray(new Array[java.util.Map.Entry[String, java.lang.Long]](0))
+      java.util.Arrays.sort(es, TopNFreqState.ByCountThenKey)
+      val sb = new java.lang.StringBuilder
+      var i = 0
+      while (i < es.length && i < n) {
+        if (i > 0) sb.append(',')
+        sb.append(es(i).getKey)
+        i += 1
+      }
+      sb.toString
+    }
+  }
+  object TopNFreqState {
+    private val Plus: java.util.function.BiFunction[java.lang.Long, java.lang.Long, java.lang.Long] =
+      (a, b) => a + b
+    /** Count descending, then key ascending. */
+    private val ByCountThenKey: java.util.Comparator[java.util.Map.Entry[String, java.lang.Long]] =
+      (x, y) => {
+        val c = java.lang.Long.compare(y.getValue, x.getValue)
+        if (c != 0) c else x.getKey.compareTo(y.getKey)
+      }
   }
 
   /** avg_cate_where(value, cond, category): average of values passing the
@@ -89,20 +105,27 @@ object AggCore {
     * category, joined with ",". (§4.1 (2).)
     */
   final class AvgCateWhereState extends State[(java.lang.Double, java.lang.Boolean, String), String] {
-    var acc: TreeMap[String, (Double, Long)] = TreeMap.empty
+    var acc = new java.util.TreeMap[String, CateSum]
     def update(in: (java.lang.Double, java.lang.Boolean, String)): Unit = {
       val (v, cond, cate) = in
-      if (v != null && cond != null && cond && cate != null) {
-        val (s, n) = acc.getOrElse(cate, (0.0, 0L))
-        acc = acc.updated(cate, (s + v, n + 1))
-      }
+      if (v != null && cond != null && cond && cate != null) sumOf(cate).add(v, 1L)
     }
-    def merge(o: AvgCateWhereState): Unit =
-      o.acc.foreach { case (k, (s, n)) =>
-        val (s0, n0) = acc.getOrElse(k, (0.0, 0L)); acc = acc.updated(k, (s0 + s, n0 + n))
+    def merge(o: AvgCateWhereState): Unit = o.acc.forEach((k, c) => sumOf(k).add(c.s, c.n))
+    private def sumOf(cate: String): CateSum = acc.computeIfAbsent(cate, _ => new CateSum)
+    def result: String = {
+      val sb = new java.lang.StringBuilder
+      acc.forEach { (k, c) =>
+        if (sb.length > 0) sb.append(',')
+        sb.append(k).append(':').append(c.s / c.n)
       }
-    def result: String =
-      acc.iterator.map { case (k, (s, n)) => s"$k:${s / n}" }.mkString(",")
+      sb.toString
+    }
+  }
+
+  /** One category's running sum and count in [[AvgCateWhereState]]. */
+  final class CateSum extends Serializable {
+    var s = 0.0; var n = 0L
+    def add(sum: Double, count: Long): Unit = { s += sum; n += count }
   }
 
   /** drawdown(col): maximum decline fraction from a running peak to a

@@ -1,20 +1,40 @@
 package repro.core.online
 
 import java.util.concurrent.ConcurrentHashMap
-import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** Mergeable partial aggregate kept per pre-agg bucket (§5.1): enough
-  * state to answer count / sum / avg / min / max by merging.
+  * state to answer count(1) / count / sum / avg / min / max by merging.
+  * `rows` counts every row (`count(1)`); `cnt`, `sum`, `min` and `max`
+  * cover only rows whose value column is not null.
   */
-final case class Partial(cnt: Long, sum: Double, min: Double, max: Double) {
+final case class Partial(rows: Long, cnt: Long, sum: Double, min: Double, max: Double) {
   def merge(o: Partial): Partial =
-    Partial(cnt + o.cnt, sum + o.sum, math.min(min, o.min), math.max(max, o.max))
+    Partial(rows + o.rows, cnt + o.cnt, sum + o.sum, math.min(min, o.min), math.max(max, o.max))
   def add(v: Double): Partial =
-    Partial(cnt + 1, sum + v, math.min(min, v), math.max(max, v))
+    Partial(rows + 1, cnt + 1, sum + v, math.min(min, v), math.max(max, v))
+  /** One more row whose value column is null. */
+  def addNull: Partial = copy(rows = rows + 1)
 }
 object Partial {
-  val empty: Partial = Partial(0L, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+  val empty: Partial = Partial(0L, 0L, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+}
+
+/** A [[Partial]] being built in place: a query folds buckets and raw
+  * edge rows into one of these instead of allocating a Partial per merge.
+  */
+final class PartialAcc {
+  var rows = 0L; var cnt = 0L; var sum = 0.0
+  var min = Double.PositiveInfinity; var max = Double.NegativeInfinity
+
+  def add(v: Double): Unit = {
+    rows += 1; cnt += 1; sum += v
+    if (v < min) min = v
+    if (v > max) max = v
+  }
+  /** One more row whose value column is null. */
+  def addNull(): Unit = rows += 1
+  def result: Partial = Partial(rows, cnt, sum, min, max)
 }
 
 /** Long-window pre-aggregation (§5.1): a multi-level aggregator hierarchy.
@@ -26,10 +46,10 @@ object Partial {
   * a per-key lock, which preserves the same visible state).
   *
   * A query over [lo, hi] is answered by greedily covering the range with
-  * the coarsest fully-contained buckets, recursing into finer levels at
-  * the ragged edges, and finally scanning raw rows (caller-provided
-  * callback, typically a skiplist range scan) below the finest level —
-  * exactly Figure 4's agg1..agg5 decomposition.
+  * the coarsest fully-contained buckets, filling the ragged edges from
+  * finer levels, and finally scanning raw rows (caller-provided callback,
+  * typically a skiplist range scan) below the finest level — exactly
+  * Figure 4's agg1..agg5 decomposition.
   */
 final class PreAggTable(val levels: Seq[Long]) {
   require(levels.nonEmpty && levels == levels.sorted, "levels must ascend")
@@ -37,26 +57,28 @@ final class PreAggTable(val levels: Seq[Long]) {
     case Seq(a, b) => require(b % a == 0, s"level $b must be a multiple of $a")
     case _         =>
   }
+  private val widths = levels.toArray
 
-  /** Per-key aggregator state: one bucket map per level. */
-  private final class KeyAgg(nLevels: Int) {
-    val levels: Array[mutable.LongMap[Partial]] = Array.fill(nLevels)(mutable.LongMap.empty[Partial])
-  }
+  private val state = new ConcurrentHashMap[String, Array[PreAggTable.Level]]()
 
-  private val state = new ConcurrentHashMap[String, KeyAgg]()
-
-  /** Counts how many bucket lookups the last query used vs raw rows —
+  /** Counts how many buckets the last query merged vs raw rows —
     * exposed so tests/benches can assert the hierarchy is actually used.
     */
   @volatile var lastQueryBuckets: Int = 0
   @volatile var lastQueryRawRows: Int = 0
 
-  def insert(key: String, ts: Long, v: Double): Unit = {
-    val agg = state.computeIfAbsent(key, _ => new KeyAgg(levels.size))
+  def insert(key: String, ts: Long, v: Double): Unit = record(key, ts, v, isNull = false)
+
+  /** Records a row whose value column is null: it counts in `rows` only. */
+  def insertNull(key: String, ts: Long): Unit = record(key, ts, 0.0, isNull = true)
+
+  private def record(key: String, ts: Long, v: Double, isNull: Boolean): Unit = {
+    val agg = state.computeIfAbsent(key, _ => Array.fill(widths.length)(new PreAggTable.Level))
     agg.synchronized {
-      levels.indices.foreach { i =>
-        val b = math.floorDiv(ts, levels(i)) * levels(i)
-        agg.levels(i)(b) = agg.levels(i).getOrElse(b, Partial.empty).add(v)
+      var i = 0
+      while (i < widths.length) {
+        agg(i).add(math.floorDiv(ts, widths(i)) * widths(i), v, isNull)
+        i += 1
       }
     }
   }
@@ -65,46 +87,124 @@ final class PreAggTable(val levels: Seq[Long]) {
     * rows for sub-bucket edges and must return (ts, value) pairs.
     */
   def query(key: String, lo: Long, hi: Long,
-            raw: (Long, Long) => Iterator[(Long, Double)]): Partial = {
-    lastQueryBuckets = 0
-    lastQueryRawRows = 0
-    val agg = state.get(key)
-    def scanRaw(l: Long, h: Long): Partial =
-      raw(l, h).foldLeft(Partial.empty) { case (p, (_, v)) => lastQueryRawRows += 1; p.add(v) }
-    def cover(levelIdx: Int, l: Long, h: Long): Partial = {
-      if (l > h) Partial.empty
-      else if (levelIdx < 0 || agg == null) scanRaw(l, h)
-      else {
-        val width = levels(levelIdx)
-        val start = math.floorDiv(l + width - 1, width) * width  // first bucket fully inside
-        val end   = math.floorDiv(h + 1, width) * width          // exclusive end of full cover
-        if (start >= end) cover(levelIdx - 1, l, h)
-        else {
-          var p = Partial.empty
-          agg.synchronized {
-            val m = agg.levels(levelIdx)
-            // A query range can span vastly more bucket slots than exist
-            // (e.g. an effectively-unbounded window): enumerate whichever
-            // side is smaller — existing buckets or slots in range.
-            if ((end - start) / width > m.size) {
-              m.foreach { case (b, part) =>
-                if (b >= start && b < end) { p = p.merge(part); lastQueryBuckets += 1 }
-              }
-            } else {
-              var b = start
-              while (b < end) {
-                m.get(b).foreach { part => p = p.merge(part); lastQueryBuckets += 1 }
-                b += width
-              }
-            }
-          }
-          p.merge(cover(levelIdx - 1, l, start - 1)).merge(cover(levelIdx - 1, end, h))
+            raw: (Long, Long) => Iterator[(Long, Double)]): Partial =
+    queryRows(key, lo, hi, (l, h, acc) => raw(l, h).foreach { case (_, v) => acc.add(v) })
+
+  /** As [[query]], for raw rows whose value may be null: `raw(l, h, acc)`
+    * folds every raw row with ts in [l, h] into `acc`.
+    *
+    * Coarsest level first, each level covers the widest bucket-aligned
+    * span inside [lo, hi]; a finer level's span contains a coarser one's,
+    * so it adds only its buckets left and right of what is covered. What
+    * the finest level leaves uncovered are the raw edges.
+    */
+  def queryRows(key: String, lo: Long, hi: Long, raw: (Long, Long, PartialAcc) => Unit): Partial = {
+    val acc = new PartialAcc
+    val agg = if (lo > hi) null else state.get(key)
+    var buckets = 0
+    var cs = 0L; var ce = 0L // covered span [cs, ce); empty while cs == ce
+    if (agg != null) agg.synchronized {
+      var i = widths.length - 1
+      while (i >= 0) {
+        val w = widths(i)
+        val s = math.floorDiv(lo + w - 1, w) * w // first bucket fully inside
+        val e = math.floorDiv(hi + 1, w) * w     // exclusive end of full cover
+        if (s < e) {
+          if (cs == ce) buckets += agg(i).mergeRange(s, e, acc)
+          else buckets += agg(i).mergeRange(s, cs, acc) + agg(i).mergeRange(ce, e, acc)
+          cs = s; ce = e
         }
+        i -= 1
       }
     }
-    cover(levels.size - 1, lo, hi)
+    val rows0 = acc.rows
+    if (cs < ce) {
+      if (lo < cs) raw(lo, cs - 1, acc)
+      if (ce <= hi) raw(ce, hi, acc)
+    } else if (lo <= hi) raw(lo, hi, acc)
+    lastQueryBuckets = buckets
+    lastQueryRawRows = (acc.rows - rows0).toInt
+    acc.result
   }
 
   def keyCount: Int = state.size
-  def bucketCount: Long = state.values.asScala.map(_.levels.map(_.size.toLong).sum).sum
+  def bucketCount: Long = state.values.asScala.map(_.map(_.size.toLong).sum).sum
+}
+
+object PreAggTable {
+
+  /** One key's buckets at one level, sorted by bucket start: `longs` holds
+    * (start, rows, cnt) and `doubles` holds (sum, min, max) per bucket.
+    * Guarded by the key's lock.
+    */
+  private final class Level {
+    var size = 0
+    private var longs = new Array[Long](3 * 2)
+    private var doubles = new Array[Double](3 * 2)
+
+    private def start(i: Int): Long = longs(3 * i)
+
+    /** First bucket index with start >= `b` (size when there is none). */
+    private def lowerBound(b: Long): Int = {
+      var l = 0; var h = size
+      while (l < h) {
+        val m = (l + h) >>> 1
+        if (start(m) < b) l = m + 1 else h = m
+      }
+      l
+    }
+
+    /** Adds one row to bucket `b`. A time-ordered insert lands on or after
+      * the last bucket; an older one binary-searches and, for a new bucket,
+      * shifts the later ones up.
+      */
+    def add(b: Long, v: Double, isNull: Boolean): Unit = {
+      val i =
+        if (size > 0 && start(size - 1) == b) size - 1
+        else if (size == 0 || start(size - 1) < b) open(size, b)
+        else {
+          val j = lowerBound(b)
+          if (start(j) == b) j else open(j, b)
+        }
+      longs(3 * i + 1) += 1
+      if (!isNull) {
+        longs(3 * i + 2) += 1
+        doubles(3 * i) += v
+        if (v < doubles(3 * i + 1)) doubles(3 * i + 1) = v
+        if (v > doubles(3 * i + 2)) doubles(3 * i + 2) = v
+      }
+    }
+
+    /** Inserts an empty bucket `b` at index `i`; returns `i`. */
+    private def open(i: Int, b: Long): Int = {
+      if (3 * size == longs.length) {
+        longs = java.util.Arrays.copyOf(longs, 2 * longs.length)
+        doubles = java.util.Arrays.copyOf(doubles, 2 * doubles.length)
+      }
+      System.arraycopy(longs, 3 * i, longs, 3 * (i + 1), 3 * (size - i))
+      System.arraycopy(doubles, 3 * i, doubles, 3 * (i + 1), 3 * (size - i))
+      longs(3 * i) = b; longs(3 * i + 1) = 0; longs(3 * i + 2) = 0
+      doubles(3 * i) = 0.0; doubles(3 * i + 1) = Double.PositiveInfinity
+      doubles(3 * i + 2) = Double.NegativeInfinity
+      size += 1
+      i
+    }
+
+    /** Merges the buckets starting in [from, until) into `acc`; returns
+      * how many there were.
+      */
+    def mergeRange(from: Long, until: Long, acc: PartialAcc): Int = {
+      var i = lowerBound(from)
+      val i0 = i
+      while (i < size && start(i) < until) {
+        acc.rows += longs(3 * i + 1)
+        acc.cnt += longs(3 * i + 2)
+        acc.sum += doubles(3 * i)
+        if (doubles(3 * i + 1) < acc.min) acc.min = doubles(3 * i + 1)
+        if (doubles(3 * i + 2) > acc.max) acc.max = doubles(3 * i + 2)
+        i += 1
+      }
+      i - i0
+    }
+  }
 }

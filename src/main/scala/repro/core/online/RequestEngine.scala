@@ -2,7 +2,7 @@ package repro.core.online
 
 import repro.core._
 import repro.core.functions.AggCore
-import repro.storage.TimeSeriesStore
+import repro.storage.{TimeList, TimeSeriesStore, TsEntry}
 
 /** An online table: the two-layer skiplist store holding decoded rows
   * (column name -> value) keyed by the index column and ordered by ts.
@@ -15,6 +15,9 @@ final class OnlineTable(val keyCol: String, val tsCol: String) {
 
   def put(row: Map[String, Any]): Unit =
     store.put(String.valueOf(row(keyCol)), asLong(row(tsCol)), row)
+
+  /** The key's rows, newest first, or null when the key has none. */
+  def series(key: String): TimeList[Map[String, Any]] = store.series(key)
 
   def scan(key: String, lo: Long, hi: Long): Iterator[(Long, Map[String, Any])] =
     store.scan(key, lo, hi).map(e => (e.ts, e.payload))
@@ -35,14 +38,24 @@ final class OnlineTable(val keyCol: String, val tsCol: String) {
   * back. All aggregates fold the exact [[AggCore]] states the offline
   * Spark plan uses.
   *
-  * Long-window features can be served from a [[PreAggTable]] hierarchy
-  * (per `(window, column)` binding) instead of raw scans — the §5.1
-  * optimization; the raw edges still come from the skiplist.
+  * The spec is compiled once, at construction (the JVM counterpart of the
+  * paper's compiled request plan, §3–4): the distinct `(table, key
+  * column)` reads, each resolved to its time list once per request; per
+  * window, the features folded over the raw frame, all in one pass; and
+  * per `(window, value column)`, one [[PreAggTable]] merge serving that
+  * window's count/sum/avg/min/max — the §5.1 optimization, whose raw
+  * edges come from the same resolved time list.
+  *
+  * Frame order, which the order-sensitive functions see: ascending ts; at
+  * equal ts, primary rows before union rows (unions in listed order);
+  * within a table, the time list's tie order (newest insert first); the
+  * request row last.
   */
 final class RequestEngine(
     spec: FeatureSpec,
     tables: Map[String, OnlineTable],
     preAgg: Map[(String, String), PreAggTable] = Map.empty) {
+  import RequestEngine._
 
   private val primary = tables(spec.primary)
 
@@ -50,117 +63,61 @@ final class RequestEngine(
   def insert(table: String, row: Map[String, Any]): Unit = {
     val t = tables(table)
     t.put(row)
-    if (table == spec.primary) {
-      val ts = num(row(t.tsCol)).toLong
+    if (table == spec.primary && preAgg.nonEmpty) {
+      val key = String.valueOf(row(t.keyCol))
+      val ts  = num(row(t.tsCol)).toLong
       preAgg.foreach { case ((_, valCol), pa) =>
-        row.get(valCol).filter(_ != null)
-          .foreach(v => pa.insert(String.valueOf(row(t.keyCol)), ts, num(v)))
+        val v = row.getOrElse(valCol, null)
+        if (v == null) pa.insertNull(key, ts) else pa.insert(key, ts, num(v))
       }
     }
-  }
-
-  private def num(v: Any): Double = v match {
-    case d: Double => d
-    case f: Float  => f.toDouble
-    case l: Long   => l.toDouble
-    case i: Int    => i.toDouble
-    case s: Short  => s.toDouble
-    case other     => other.toString.toDouble
-  }
-
-  /** Rows in a window's frame for the request tuple, oldest first,
-    * including the virtual insert itself.
-    */
-  private def frameRows(w: WindowDef, req: Map[String, Any]): Seq[Map[String, Any]] = {
-    val key = String.valueOf(req(w.keyCol))
-    val t   = num(req(w.tsCol)).toLong
-    val lo  = t - w.rangeMs
-    val own   = primary.scan(key, lo, t).map(_._2)
-    val union = w.unionTables.iterator.flatMap(n => tables(n).scan(key, lo, t).map(_._2))
-    ((own ++ union).toSeq :+ req).sortBy(r => num(r(w.tsCol)).toLong)
-  }
-
-  /** Fold one feature over ordered frame rows via the shared library. */
-  private def computeFn(fn: FeatureFn, rows: Seq[Map[String, Any]]): Any = fn match {
-    case FeatureFn.Count => rows.size.toLong
-    case FeatureFn.Sum(c) =>
-      val st = new AggCore.SumState
-      rows.foreach(r => st.update(boxed(r.get(c)))); st.result
-    case FeatureFn.Avg(c) =>
-      val st = new AggCore.AvgState
-      rows.foreach(r => st.update(boxed(r.get(c)))); st.result
-    case FeatureFn.Min(c) =>
-      val st = new AggCore.MinState
-      rows.foreach(r => st.update(boxed(r.get(c)))); st.result
-    case FeatureFn.Max(c) =>
-      val st = new AggCore.MaxState
-      rows.foreach(r => st.update(boxed(r.get(c)))); st.result
-    case FeatureFn.DistinctCount(c) =>
-      val st = new AggCore.DistinctCountState
-      rows.foreach(r => st.update(str(r.get(c)))); st.result
-    case FeatureFn.TopNFreq(c, n) =>
-      val st = new AggCore.TopNFreqState(n)
-      rows.foreach(r => st.update(str(r.get(c)))); st.result
-    case FeatureFn.AvgCateWhere(v, cond, cate) =>
-      val st = new AggCore.AvgCateWhereState
-      rows.foreach(r => st.update((boxed(r.get(v)), bool(r.get(cond)), str(r.get(cate)))))
-      st.result
-    case FeatureFn.Drawdown(c) =>
-      val st = new AggCore.DrawdownState
-      rows.foreach(r => st.update(boxed(r.get(c)))); st.result
-    case FeatureFn.EwAvg(c, a) =>
-      val st = new AggCore.EwAvgState(a)
-      rows.foreach(r => st.update(boxed(r.get(c)))); st.result
-  }
-
-  private def boxed(v: Option[Any]): java.lang.Double = v match {
-    case Some(null) | None => null
-    case Some(x)           => java.lang.Double.valueOf(num(x))
-  }
-  private def str(v: Option[Any]): String = v match {
-    case Some(null) | None => null
-    case Some(x)           => String.valueOf(x)
-  }
-  private def bool(v: Option[Any]): java.lang.Boolean = v match {
-    case Some(null) | None  => null
-    case Some(b: Boolean)   => java.lang.Boolean.valueOf(b)
-    case Some(x)            => java.lang.Boolean.valueOf(x.toString.toBoolean)
   }
 
   /** Serve one request tuple: virtual insert + feature computation. The
     * tuple is NOT persisted (mirroring OpenMLDB request mode).
     */
   def request(req: Map[String, Any]): Map[String, Any] = {
-    val frameCache = scala.collection.mutable.HashMap.empty[String, Seq[Map[String, Any]]]
-    val partials = new Array[Partial](bindings.length)
-    var out = req
-    plan.foreach { case (f, w, b) =>
-      val value =
-        if (b < 0) computeFn(f.fn, frameCache.getOrElseUpdate(w.name, frameRows(w, req)))
-        else {
-          if (partials(b) == null) partials(b) = preAggPartial(bindings(b), req)
-          fromPartial(f.fn, partials(b), req.get(bindings(b).valCol).exists(_ != null))
-        }
-      out = out.updated(f.name, value)
+    val series = new Array[TimeList[Row]](readTables.length)
+    var i = 0
+    while (i < series.length) {
+      series(i) = readTables(i).series(String.valueOf(req(readCols(i))))
+      i += 1
     }
-    spec.lastJoins.foreach { lj =>
-      val key = String.valueOf(req(lj.keyCol))
-      val ts  = num(req(primary.tsCol)).toLong
-      val hit = tables(lj.table).latest(key, ts).map(_._2)
-      lj.valCols.foreach { v =>
-        out = out.updated(s"${lj.prefix}$v", hit.map(_.getOrElse(v, null)).orNull)
+    val out = Map.newBuilder[String, Any]
+    out ++= req
+    windowPlans.foreach(_.compute(req, series, out))
+    if (joinPlans.nonEmpty) {
+      val ts = num(req(primary.tsCol)).toLong
+      joinPlans.foreach { j =>
+        val s   = series(j.read)
+        val hit = if (s == null) None else s.latest(ts)
+        j.valCols.indices.foreach { c =>
+          out += j.outNames(c) -> hit.map(_.payload.getOrElse(j.valCols(c), null)).orNull
+        }
       }
     }
-    out
+    out.result()
   }
 
-  /** A pre-aggregation serving a window: its value column and table. */
-  private final class PreAggBinding(val w: WindowDef, val valCol: String, val pa: PreAggTable)
+  // ---------------------------------------------------------- compiled plan
+
+  /** The distinct `(table, request column holding its key)` pairs the spec
+    * reads, filled while the plans below are built.
+    */
+  private val reads = scala.collection.mutable.ArrayBuffer.empty[(String, String)]
+  private def readOf(table: String, keyCol: String): Int = {
+    val i = reads.indexOf((table, keyCol))
+    if (i >= 0) i else { reads += ((table, keyCol)); reads.length - 1 }
+  }
+
+  /** A pre-aggregation serving a window: its value column and the
+    * features derived from its merged partial.
+    */
+  private final class Served(val valCol: String, val pa: PreAggTable, val features: Seq[Feature])
 
   /** The §5.1 binding rule: count/sum/avg/min/max over a non-union window
     * with an aggregator for the value column. Count can ride on any
-    * aggregator of its window (bucket `cnt` counts rows with a non-null
-    * value column — the deployment contract).
+    * aggregator of its window: buckets count every row (`count(1)`).
     */
   private def bindingOf(f: Feature, w: WindowDef): Option[(String, PreAggTable)] =
     if (w.unionTables.nonEmpty) None
@@ -173,44 +130,176 @@ final class RequestEngine(
       case _                => None
     }
 
-  /** Each feature with its window resolved and the index of the binding
-    * in `bindings` that serves it (-1: fold the raw frame), so a request
-    * merges each `(window, value column)` pre-aggregation once.
+  /** One window's features: `served` from pre-aggregations, `folds` over
+    * the frame merged from `sources` (read slots: primary, then unions).
     */
-  private val (plan, bindings): (Seq[(Feature, WindowDef, Int)], Array[PreAggBinding]) = {
-    val bs = scala.collection.mutable.ArrayBuffer.empty[PreAggBinding]
-    val p = spec.features.map { f =>
-      val w = spec.window(f.window)
-      val b = bindingOf(f, w).fold(-1) { case (c, pa) =>
-        val i = bs.indexWhere(x => x.w.name == w.name && x.valCol == c)
-        if (i >= 0) i else { bs += new PreAggBinding(w, c, pa); bs.length - 1 }
+  private final class WindowPlan(w: WindowDef, sources: Array[Int], served: Seq[Served], folds: Array[Fold]) {
+    def compute(req: Row, series: Array[TimeList[Row]], out: OutBuilder): Unit = {
+      val t  = num(req(w.tsCol)).toLong
+      val lo = t - w.rangeMs
+      if (served.nonEmpty) {
+        val key = String.valueOf(req(w.keyCol))
+        val s   = series(sources(0))
+        served.foreach { b =>
+          val p = preAggPartial(b, key, s, lo, t, req)
+          b.features.foreach(f => out += f.name -> fromPartial(f.fn, p))
+        }
       }
-      (f, w, b)
+      if (folds.nonEmpty) foldFrame(req, series, lo, t, out)
     }
-    (p, bs.toArray)
+
+    /** Folds every raw feature of the window in one pass over its frame.
+      * Each source's scan is buffered newest first; the merge repeatedly
+      * takes the oldest remaining tie run (lowest source on equal ts) and
+      * feeds it forward, which keeps the time list's tie order.
+      */
+    private def foldFrame(req: Row, series: Array[TimeList[Row]], lo: Long, t: Long, out: OutBuilder): Unit = {
+      var buf  = new Array[TsEntry[Row]](16)
+      var n    = 0
+      val from = new Array[Int](sources.length)
+      val end  = new Array[Int](sources.length)
+      var k = 0
+      while (k < sources.length) {
+        from(k) = n
+        val s = series(sources(k))
+        if (s != null) {
+          val it = s.scan(lo, t)
+          while (it.hasNext) {
+            if (n == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * n)
+            buf(n) = it.next(); n += 1
+          }
+        }
+        end(k) = n
+        k += 1
+      }
+      val states = folds.map(_.make())
+      def feed(row: Row): Unit = {
+        var f = 0
+        while (f < folds.length) { states(f).update(folds(f).input(row)); f += 1 }
+      }
+      var done = false
+      while (!done) {
+        var best = -1
+        var ts   = 0L
+        k = 0
+        while (k < sources.length) {
+          if (end(k) > from(k) && (best < 0 || buf(end(k) - 1).ts < ts)) { best = k; ts = buf(end(k) - 1).ts }
+          k += 1
+        }
+        if (best < 0) done = true
+        else {
+          var j = end(best) - 1
+          while (j > from(best) && buf(j - 1).ts == ts) j -= 1
+          var r = j
+          while (r < end(best)) { feed(buf(r).payload); r += 1 }
+          end(best) = j
+        }
+      }
+      feed(req)
+      var f = 0
+      while (f < folds.length) { out += folds(f).name -> states(f).result; f += 1 }
+    }
   }
 
-  /** §5.1 fast path: bucket partials plus the raw edges and the virtual
-    * row's value (when not null) for one binding.
-    */
-  private def preAggPartial(b: PreAggBinding, req: Map[String, Any]): Partial = {
-    val key = String.valueOf(req(b.w.keyCol))
-    val t   = num(req(b.w.tsCol)).toLong
-    val merged = b.pa.query(key, t - b.w.rangeMs, t,
-      (lo, hi) => primary.scan(key, lo, hi).map { case (ts, r) => (ts, num(r(b.valCol))) })
-    req.get(b.valCol).filter(_ != null).fold(merged)(v => merged.add(num(v)))
+  private val windowPlans: Array[WindowPlan] = spec.windows.flatMap { w =>
+    val fs = spec.features.filter(_.window == w.name)
+    if (fs.isEmpty) None
+    else {
+      val sources = (spec.primary +: w.unionTables).map(readOf(_, w.keyCol)).toArray
+      val bound   = fs.map(f => f -> bindingOf(f, w))
+      val served  = bound.collect { case (f, Some((c, pa))) => (c, pa, f) }
+        .groupBy(_._1).toSeq
+        .map { case (c, xs) => new Served(c, xs.head._2, xs.map(_._3)) }
+      val folds = bound.collect { case (f, None) => foldOf(f) }.toArray
+      Some(new WindowPlan(w, sources, served, folds))
+    }
+  }.toArray
+
+  private final class JoinPlan(val read: Int, val valCols: IndexedSeq[String], val outNames: IndexedSeq[String])
+  private val joinPlans: Seq[JoinPlan] = spec.lastJoins.map { lj =>
+    new JoinPlan(readOf(lj.table, lj.keyCol), lj.valCols.toIndexedSeq, lj.valCols.map(lj.prefix + _).toIndexedSeq)
   }
 
-  /** One pre-aggregated feature from its binding's merged partial; the
-    * virtual row is in every frame, so Count takes it even when its value
-    * column is null.
+  private val readTables: Array[OnlineTable] = reads.map(r => tables(r._1)).toArray
+  private val readCols: Array[String]        = reads.map(_._2).toArray
+
+  /** §5.1 fast path: bucket partials plus the raw edges, read from the
+    * request's resolved time list, plus the virtual row.
     */
-  private def fromPartial(fn: FeatureFn, p: Partial, reqHasValue: Boolean): Any = fn match {
-    case FeatureFn.Count  => if (reqHasValue) p.cnt else p.cnt + 1
+  private def preAggPartial(b: Served, key: String, s: TimeList[Row], lo: Long, t: Long, req: Row): Partial = {
+    val merged = b.pa.queryRows(key, lo, t, (l, h, acc) =>
+      if (s != null) {
+        val it = s.scan(l, h)
+        while (it.hasNext) {
+          val v = it.next().payload.getOrElse(b.valCol, null)
+          if (v == null) acc.addNull() else acc.add(num(v))
+        }
+      })
+    val v = req.getOrElse(b.valCol, null)
+    if (v == null) merged.addNull else merged.add(num(v))
+  }
+}
+
+object RequestEngine {
+  private type Row        = Map[String, Any]
+  private type OutBuilder = scala.collection.mutable.Builder[(String, Any), Row]
+
+  /** A raw-folded feature: a fresh [[AggCore]] state per request, fed the
+    * feature's input from each frame row.
+    */
+  private final class Fold(val name: String, val make: () => AggCore.State[Any, Any], val input: Row => Any)
+
+  private def fold[I](name: String, make: () => AggCore.State[I, _], input: Row => I): Fold =
+    new Fold(name, make.asInstanceOf[() => AggCore.State[Any, Any]], input)
+
+  private def foldOf(f: Feature): Fold = f.fn match {
+    // count(1): every frame row counts
+    case FeatureFn.Count                 => fold(f.name, () => new AggCore.CountState, _ => java.lang.Boolean.TRUE)
+    case FeatureFn.Sum(c)                => fold(f.name, () => new AggCore.SumState, r => dbl(r, c))
+    case FeatureFn.Avg(c)                => fold(f.name, () => new AggCore.AvgState, r => dbl(r, c))
+    case FeatureFn.Min(c)                => fold(f.name, () => new AggCore.MinState, r => dbl(r, c))
+    case FeatureFn.Max(c)                => fold(f.name, () => new AggCore.MaxState, r => dbl(r, c))
+    case FeatureFn.DistinctCount(c)      => fold(f.name, () => new AggCore.DistinctCountState, r => str(r, c))
+    case FeatureFn.TopNFreq(c, n)        => fold(f.name, () => new AggCore.TopNFreqState(n), r => str(r, c))
+    case FeatureFn.AvgCateWhere(v, p, c) =>
+      fold(f.name, () => new AggCore.AvgCateWhereState, r => (dbl(r, v), bool(r, p), str(r, c)))
+    case FeatureFn.Drawdown(c)           => fold(f.name, () => new AggCore.DrawdownState, r => dbl(r, c))
+    case FeatureFn.EwAvg(c, a)           => fold(f.name, () => new AggCore.EwAvgState(a), r => dbl(r, c))
+  }
+
+  /** One pre-aggregated feature from its binding's merged partial, which
+    * includes the virtual row.
+    */
+  private def fromPartial(fn: FeatureFn, p: Partial): Any = fn match {
+    case FeatureFn.Count  => p.rows
     case FeatureFn.Sum(_) => if (p.cnt == 0) null else p.sum
     case FeatureFn.Avg(_) => if (p.cnt == 0) null else p.sum / p.cnt
     case FeatureFn.Min(_) => if (p.cnt == 0) null else p.min
     case FeatureFn.Max(_) => if (p.cnt == 0) null else p.max
     case other            => throw new IllegalStateException(s"$other has no pre-aggregated form")
+  }
+
+  private def num(v: Any): Double = v match {
+    case d: Double => d
+    case f: Float  => f.toDouble
+    case l: Long   => l.toDouble
+    case i: Int    => i.toDouble
+    case s: Short  => s.toDouble
+    case other     => other.toString.toDouble
+  }
+
+  private def dbl(r: Row, c: String): java.lang.Double = r.getOrElse(c, null) match {
+    case null                => null
+    case d: java.lang.Double => d
+    case x                   => java.lang.Double.valueOf(num(x))
+  }
+  private def str(r: Row, c: String): String = {
+    val v = r.getOrElse(c, null)
+    if (v == null) null else String.valueOf(v)
+  }
+  private def bool(r: Row, c: String): java.lang.Boolean = r.getOrElse(c, null) match {
+    case null       => null
+    case b: Boolean => java.lang.Boolean.valueOf(b)
+    case x          => java.lang.Boolean.valueOf(x.toString.toBoolean)
   }
 }

@@ -63,9 +63,12 @@ final class ConcurrentSkipIndex[K, V](implicit ord: Ordering[K]) {
     nxt
   }
 
-  def get(key: K): Option[V] = {
+  def get(key: K): Option[V] = Option(getOrNull(key))
+
+  /** The value under `key`, or null when absent (allocates nothing). */
+  def getOrNull(key: K): V = {
     val n = ceiling(key)
-    if (n != null && ord.equiv(n.key, key)) Some(n.value) else None
+    if (n != null && ord.equiv(n.key, key)) n.value else null.asInstanceOf[V]
   }
 
   /** Insert `key -> mk()` if absent; returns the (existing or new) value. */
@@ -295,6 +298,11 @@ final class TimeSeriesStore[K, P](implicit ord: Ordering[K]) {
 
   def put(key: K, ts: Long, payload: P): Unit =
     index.getOrInsert(key, new TimeList[P]).insert(ts, payload)
+
+  /** The key's time list, or null when the key was never put; callers
+    * that read one key several times resolve it once here.
+    */
+  def series(key: K): TimeList[P] = index.getOrNull(key)
 
   def scan(key: K, lo: Long, hi: Long): Iterator[TsEntry[P]] =
     index.get(key).map(_.scan(lo, hi)).getOrElse(Iterator.empty)

@@ -1,5 +1,7 @@
 package repro.core.functions
 
+import org.apache.spark.sql.Encoder
+import org.apache.spark.sql.catalyst.encoders.encoderFor
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -140,5 +142,37 @@ class AggregatorsSpec extends SparkSpec {
         .collect()
     }
     assert(ex.getMessage != null)
+  }
+
+  /** A buffer through its aggregator's Kryo encoder: serialized to a row
+    * and deserialized back, as Spark moves it between tasks.
+    */
+  private def roundTrip[T](enc: Encoder[T], x: T): T = {
+    val e = encoderFor(enc)
+    e.resolveAndBind().createDeserializer()(e.createSerializer()(x).copy())
+  }
+
+  test("topn_frequency, distinct_count and avg_cate_where buffers survive Kryo and merge") {
+    spark
+    import Aggregators._
+    val top = new TopNFreqAgg
+    def topOf(xs: String*) = xs.foldLeft(top.zero)((b, x) => top.reduce(b, (x, 3)))
+    // merged counts y:2, z:2, w:1, x:1 — both count ties broken by key
+    val topMerged = top.merge(roundTrip(top.bufferEncoder, topOf("x", "y", "y", "z")),
+      roundTrip(top.bufferEncoder, topOf("z", "w")))
+    assert(top.finish(topMerged) == "y,z,w")
+    assert(top.finish(top.merge(topOf("x", "y", "y", "z"), topOf("z", "w"))) == "y,z,w")
+
+    val dc = new DistinctCountAgg
+    def dcOf(xs: String*) = xs.foldLeft(dc.zero)(dc.reduce)
+    assert(dc.finish(dc.merge(roundTrip(dc.bufferEncoder, dcOf("x", "y", null)),
+      roundTrip(dc.bufferEncoder, dcOf("y", "z")))) == 3L)
+
+    val acw = new AvgCateWhereAgg
+    def acwOf(xs: (java.lang.Double, java.lang.Boolean, String)*) = xs.foldLeft(acw.zero)(acw.reduce)
+    val a = acwOf((10.0, true, "s"), (30.0, true, "s"), (5.0, false, "b"))
+    val b = acwOf((5.0, true, "b"), (20.0, true, "s"))
+    assert(acw.finish(acw.merge(roundTrip(acw.bufferEncoder, a), roundTrip(acw.bufferEncoder, b))) ==
+      "b:5.0,s:20.0")
   }
 }

@@ -1,6 +1,10 @@
 package repro.core.online
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class PreAggSpec extends AnyFunSuite {
@@ -127,5 +131,64 @@ class PreAggSpec extends AnyFunSuite {
     threads.foreach(_.start()); threads.foreach(_.join())
     val total = (0 until 8).map(k => pa.query(s"k$k", 0, 2500, (_, _) => Iterator.empty).cnt).sum
     assert(total == 10000)
+  }
+
+  test("property: sorted levels agree with a reference fold under out-of-order inserts and nulls") {
+    // (ts, value or null) inserted in generated order, so most buckets open
+    // in the middle of a level; integral values keep every sum exact
+    val row    = Gen.zip(Gen.chooseNum(-2000L, 20000L), Gen.option(Gen.chooseNum(-50, 50).map(_.toDouble)))
+    val rows   = Gen.choose(0, 400).flatMap(n => Gen.listOfN(n, row))
+    val bound  = Gen.chooseNum(-3000L, 21000L)
+    val ranges = Gen.listOfN(20, Gen.zip(bound, bound))
+    val levels = Seq(10L, 100L, 1000L)
+    val p = Prop.forAll(rows, ranges) { (rows, qs) =>
+      val pa = new PreAggTable(levels)
+      rows.foreach { case (t, v) => v.fold(pa.insertNull("k", t))(pa.insert("k", t, _)) }
+      def fold(lo: Long, hi: Long, acc: PartialAcc): Unit =
+        rows.foreach { case (t, v) => if (t >= lo && t <= hi) v.fold(acc.addNull())(acc.add) }
+      val buckets = levels.map(w => rows.map(r => math.floorDiv(r._1, w)).distinct.size.toLong).sum
+      pa.bucketCount == buckets && qs.forall { case (a, b) =>
+        val (lo, hi) = (math.min(a, b), math.max(a, b))
+        val got  = pa.queryRows("k", lo, hi, fold)
+        val want = { val acc = new PartialAcc; fold(lo, hi, acc); acc.result }
+        got.rows == want.rows && got.cnt == want.cnt && got.sum == want.sum &&
+          (want.cnt == 0 || (got.min == want.min && got.max == want.max))
+      }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), p)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("concurrent inserts and queries on one key see whole rows") {
+    val pa = new PreAggTable(Seq(10L, 100L))
+    val n = 20000
+    val started = new AtomicInteger(0); val finished = new AtomicInteger(0)
+    val writing = new AtomicBoolean(true)
+    val errors = new ConcurrentLinkedQueue[String]()
+    // two writers over interleaved ts in shuffled order (buckets open
+    // mid-level); even ts carry 1.0, odd ts are null-valued rows
+    val writers = (0 until 2).map { w =>
+      val order = new Random(w).shuffle((w until n by 2).toVector)
+      new Thread(() => order.foreach { t =>
+        started.incrementAndGet()
+        if (t % 2 == 0) pa.insert("k", t.toLong, 1.0) else pa.insertNull("k", t.toLong)
+        finished.incrementAndGet()
+      })
+    }
+    val readers = (0 until 2).map { _ =>
+      new Thread(() => while (writing.get()) {
+        val before = finished.get()
+        val p = pa.query("k", 0, n + 99, (_, _) => Iterator.empty)
+        val after = started.get()
+        if (p.rows < before || p.rows > after || p.cnt.toDouble != p.sum || p.cnt > p.rows ||
+            (p.cnt > 0 && (p.min != 1.0 || p.max != 1.0)))
+          errors.add(s"rows ${p.rows} (inserted $before..$after), cnt ${p.cnt}, sum ${p.sum}")
+      })
+    }
+    readers.foreach(_.start()); writers.foreach(_.start())
+    writers.foreach(_.join()); writing.set(false); readers.foreach(_.join())
+    assert(errors.isEmpty, errors.asScala.take(3).mkString("; "))
+    val p = pa.query("k", 0, n + 99, (_, _) => Iterator.empty)
+    assert(p.rows == n && p.cnt == n / 2 && p.sum == n / 2)
   }
 }

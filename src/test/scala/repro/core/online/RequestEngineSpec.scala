@@ -2,6 +2,7 @@ package repro.core.online
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.core.functions.AggCore
 
 class RequestEngineSpec extends AnyFunSuite {
 
@@ -192,5 +193,54 @@ class RequestEngineSpec extends AnyFunSuite {
     }
     threads.foreach(_.start()); threads.foreach(_.join())
     log.indices.foreach(i => assert(got(i) == want(i), s"event $i: ${log(i)}"))
+  }
+
+  /** A 10 s window over `t`, with count and sum of `v` served by a
+    * `PreAggTable(Seq(1000))` or folded from the raw frame.
+    */
+  private def nullProbe(withPreAgg: Boolean): RequestEngine = {
+    val spec = FeatureSpec("t", Seq(WindowDef("w", "k", "ts", 10000L)),
+      Seq(Feature("n", FeatureFn.Count, "w"), Feature("s", FeatureFn.Sum("v"), "w")))
+    val preAgg = if (withPreAgg) Map(("w", "v") -> new PreAggTable(Seq(1000L))) else Map.empty[(String, String), PreAggTable]
+    new RequestEngine(spec, Map("t" -> new OnlineTable("k", "ts")), preAgg)
+  }
+  private def probeRow(ts: Long, v: java.lang.Double): Map[String, Any] = Map("k" -> 1L, "ts" -> ts, "v" -> v)
+
+  test("pre-agg: a null value on a raw edge is counted, not a crash") {
+    val (pre, raw) = (nullProbe(true), nullProbe(false))
+    Seq(probeRow(800, null), probeRow(5000, 2.0)).foreach { r => pre.insert("t", r); raw.insert("t", r) }
+    // [700, 10700]: the row at 800 lies below the first full bucket
+    val req = probeRow(10700, 4.0)
+    val (p, r) = (pre.request(req), raw.request(req))
+    assert(r("n") == 3L && r("s") == 6.0)
+    assert(p("n") == r("n") && p("s") == r("s"))
+  }
+
+  test("pre-agg: Count counts null-valued rows inside buckets") {
+    val (pre, raw) = (nullProbe(true), nullProbe(false))
+    Seq(probeRow(3000, 1.0), probeRow(3500, null)).foreach { r => pre.insert("t", r); raw.insert("t", r) }
+    val req = probeRow(10700, 4.0)
+    assert(raw.request(req)("n") == 3L)
+    assert(pre.request(req)("n") == 3L)
+    assert(pre.request(probeRow(10700, null)) == raw.request(probeRow(10700, null)))
+  }
+
+  test("frame order under ts ties: primary before unions in listed order, newest insert first, request last") {
+    val spec = FeatureSpec("a", Seq(WindowDef("w", "k", "ts", 100L, unionTables = Seq("u1", "u2"))),
+      Seq(Feature("ew", FeatureFn.EwAvg("v", 0.3), "w"), Feature("dd", FeatureFn.Drawdown("v"), "w")))
+    val names = Seq("a", "u1", "u2")
+    val eng = new RequestEngine(spec, names.map(_ -> new OnlineTable("k", "ts")).toMap)
+    val rnd = new scala.util.Random(11)
+    // (table, insert seq, ts, v): 40 distinct ts for 300 rows, out of order
+    val stored = (0 until 300).map(i => (rnd.nextInt(3), i, 1000L + rnd.nextInt(40) * 5, 1.0 + rnd.nextInt(1000)))
+    stored.foreach { case (tb, _, ts, v) => eng.insert(names(tb), Map("k" -> 1L, "ts" -> ts, "v" -> v)) }
+    (1000L to 1200L by 5).foreach { t =>
+      val frame = stored.filter { case (_, _, ts, _) => ts >= t - 100 && ts <= t }
+        .sortBy { case (tb, i, ts, _) => (ts, tb, -i) }.map(_._4) :+ 7.0
+      val ew = new AggCore.EwAvgState(0.3); val dd = new AggCore.DrawdownState
+      frame.foreach { v => ew.update(v); dd.update(v) }
+      val out = eng.request(Map("k" -> 1L, "ts" -> t, "v" -> 7.0))
+      assert(out("ew") == ew.result && out("dd") == dd.result, s"at ts=$t")
+    }
   }
 }
