@@ -16,7 +16,9 @@ final case class WindowDef(
     keyCol: String,
     tsCol: String,
     rangeMs: Long,
-    unionTables: Seq[String] = Nil)
+    unionTables: Seq[String] = Nil) {
+  require(rangeMs >= 0, s"window $name has a negative range ($rangeMs ms); 0 means the rows at the same ts")
+}
 
 /** Window feature functions (the OpenMLDB SQL extension set, Table 1). */
 sealed trait FeatureFn extends Serializable
@@ -58,4 +60,12 @@ final case class FeatureSpec(
     "a LAST JOIN takes the primary table's timestamp column from the first window; " +
       "declare at least one window when the spec has LAST JOINs")
   def window(name: String): WindowDef = windows.find(_.name == name).get
+
+  /** Fails naming every primary, union or LAST JOIN table that `present`
+    * does not hold.
+    */
+  def requireTables(present: String => Boolean): Unit = {
+    val missing = (primary +: windows.flatMap(_.unionTables) ++: lastJoins.map(_.table)).distinct.filterNot(present)
+    require(missing.isEmpty, s"spec reads tables that are not given: ${missing.mkString(", ")}")
+  }
 }

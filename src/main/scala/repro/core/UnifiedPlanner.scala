@@ -19,10 +19,10 @@ object UnifiedPlanner {
     */
   private def fnColumn(fn: FeatureFn): Column = fn match {
     case FeatureFn.Count            => count(lit(1))
-    case FeatureFn.Sum(c)           => sum(col(c))
+    case FeatureFn.Sum(c)           => sum(col(c).cast("double"))
     case FeatureFn.Avg(c)           => avg(col(c))
-    case FeatureFn.Min(c)           => min(col(c))
-    case FeatureFn.Max(c)           => max(col(c))
+    case FeatureFn.Min(c)           => min(col(c).cast("double"))
+    case FeatureFn.Max(c)           => max(col(c).cast("double"))
     case FeatureFn.DistinctCount(c) => expr(s"distinct_count(cast($c as string))")
     case FeatureFn.TopNFreq(c, n)   => expr(s"topn_frequency(cast($c as string), $n)")
     case FeatureFn.AvgCateWhere(v, cond, cate) =>
@@ -37,6 +37,7 @@ object UnifiedPlanner {
     *               tables referenced by the spec
     */
   def offline(spark: SparkSession, tables: Map[String, DataFrame], spec: FeatureSpec): DataFrame = {
+    spec.requireTables(tables.contains)
     Aggregators.register(spark)
     val primary = tables(spec.primary)
 

@@ -4,17 +4,22 @@ import repro.core._
 import repro.core.functions.AggCore
 import repro.storage.{TimeList, TimeSeriesStore, TsEntry}
 
-/** An online table: the two-layer skiplist store holding decoded rows
-  * (column name -> value) keyed by the index column and ordered by ts.
-  * This is the tablet-server memtable of §7.2 wearing a test-friendly
-  * payload type (production payloads are RowCodec bytes; the codec is
-  * exercised by its own suite and the memory benches).
+/** An online table: the two-layer store holding decoded rows (column
+  * name -> value) keyed by the index column and ordered by ts. This is
+  * the tablet-server memtable of §7.2 wearing a test-friendly payload
+  * type (production payloads are RowCodec bytes; the codec is exercised
+  * by its own suite and the memory benches).
   */
 final class OnlineTable(val keyCol: String, val tsCol: String) {
+  import RequestEngine.num
+
   val store = new TimeSeriesStore[String, Map[String, Any]]
 
-  def put(row: Map[String, Any]): Unit =
-    store.put(String.valueOf(row(keyCol)), asLong(row(tsCol)), row)
+  /** The row's key and ts as ingest coerces them. */
+  def keyOf(row: Map[String, Any]): String = String.valueOf(row(keyCol))
+  def tsOf(row: Map[String, Any]): Long    = num(row(tsCol)).toLong
+
+  def put(row: Map[String, Any]): Unit = store.put(keyOf(row), tsOf(row), row)
 
   /** The key's rows, newest first, or null when the key has none. */
   def series(key: String): TimeList[Map[String, Any]] = store.series(key)
@@ -24,12 +29,6 @@ final class OnlineTable(val keyCol: String, val tsCol: String) {
 
   def latest(key: String, atOrBefore: Long): Option[(Long, Map[String, Any])] =
     store.latest(key, atOrBefore).map(e => (e.ts, e.payload))
-
-  private def asLong(v: Any): Long = v match {
-    case l: Long => l
-    case i: Int  => i.toLong
-    case other   => other.toString.toLong
-  }
 }
 
 /** Online Request Mode executor (§3.2 (3)): each request tuple is
@@ -57,19 +56,18 @@ final class RequestEngine(
     preAgg: Map[(String, String), PreAggTable] = Map.empty) {
   import RequestEngine._
 
+  spec.requireTables(tables.contains)
   private val primary = tables(spec.primary)
 
   /** Ingest a data tuple into a table (and its pre-aggregators). */
   def insert(table: String, row: Map[String, Any]): Unit = {
-    val t = tables(table)
-    t.put(row)
-    if (table == spec.primary && preAgg.nonEmpty) {
-      val key = String.valueOf(row(t.keyCol))
-      val ts  = num(row(t.tsCol)).toLong
-      preAgg.foreach { case ((_, valCol), pa) =>
-        val v = row.getOrElse(valCol, null)
-        if (v == null) pa.insertNull(key, ts) else pa.insert(key, ts, num(v))
-      }
+    val t   = tables(table)
+    val key = t.keyOf(row)
+    val ts  = t.tsOf(row)
+    t.store.put(key, ts, row)
+    if (table == spec.primary) preAgg.foreach { case ((_, valCol), pa) =>
+      val v = row.getOrElse(valCol, null)
+      if (v == null) pa.insertNull(key, ts) else pa.insert(key, ts, num(v))
     }
   }
 
@@ -87,7 +85,7 @@ final class RequestEngine(
     out ++= req
     windowPlans.foreach(_.compute(req, series, out))
     if (joinPlans.nonEmpty) {
-      val ts = num(req(primary.tsCol)).toLong
+      val ts = primary.tsOf(req)
       joinPlans.foreach { j =>
         val s   = series(j.read)
         val hit = if (s == null) None else s.latest(ts)
@@ -279,7 +277,7 @@ object RequestEngine {
     case other            => throw new IllegalStateException(s"$other has no pre-aggregated form")
   }
 
-  private def num(v: Any): Double = v match {
+  private[online] def num(v: Any): Double = v match {
     case d: Double => d
     case f: Float  => f.toDouble
     case l: Long   => l.toDouble

@@ -1,129 +1,8 @@
 package repro.storage
 
-import java.util.concurrent.ThreadLocalRandom
+import java.util.concurrent.{ConcurrentHashMap, ThreadLocalRandom}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference, AtomicReferenceArray}
-import scala.annotation.tailrec
-
-/** Lock-free concurrent skiplist index (first layer of §7.2).
-  *
-  * Keys are inserted at most once (`putIfAbsent`); the structure supports
-  * ordered iteration and ceiling lookups. Insertion links levels bottom-up
-  * with CAS; readers never block. Keys are never removed (matching the
-  * paper's key layer, where eviction happens inside the per-key time list).
-  */
-final class ConcurrentSkipIndex[K, V](implicit ord: Ordering[K]) {
-  private val MaxLevel = 16
-
-  private final class Node(val key: K, val value: V, val levels: Int) {
-    val next = new AtomicReferenceArray[Node](levels)
-  }
-
-  // Head sentinel: key/value unused.
-  private val head = new Node(null.asInstanceOf[K], null.asInstanceOf[V], MaxLevel)
-  private val count = new AtomicLong(0)
-
-  private def randomLevel(): Int = {
-    var lvl = 1
-    val rnd = ThreadLocalRandom.current()
-    while (lvl < MaxLevel && rnd.nextInt(4) == 0) lvl += 1
-    lvl
-  }
-
-  /** Predecessors AND the successors observed during the walk, per level.
-    * The successor captured at walk time is what the insert CAS validates:
-    * re-reading `pred.next` after the walk would race with a concurrent
-    * insert of a smaller key slipping in behind the walk (an out-of-order
-    * link the CAS could not detect).
-    */
-  private def findPreds(key: K): (Array[Node], Array[Node]) = {
-    val preds = new Array[Node](MaxLevel)
-    val succs = new Array[Node](MaxLevel)
-    var cur = head
-    var l = MaxLevel - 1
-    while (l >= 0) {
-      var nxt = cur.next.get(l)
-      while (nxt != null && ord.lt(nxt.key, key)) { cur = nxt; nxt = cur.next.get(l) }
-      preds(l) = cur
-      succs(l) = nxt
-      l -= 1
-    }
-    (preds, succs)
-  }
-
-  /** First node with key >= `key`, by a read-only walk (no arrays). */
-  private def ceiling(key: K): Node = {
-    var cur = head
-    var nxt: Node = null
-    var l = MaxLevel - 1
-    while (l >= 0) {
-      nxt = cur.next.get(l)
-      while (nxt != null && ord.lt(nxt.key, key)) { cur = nxt; nxt = cur.next.get(l) }
-      l -= 1
-    }
-    nxt
-  }
-
-  def get(key: K): Option[V] = Option(getOrNull(key))
-
-  /** The value under `key`, or null when absent (allocates nothing). */
-  def getOrNull(key: K): V = {
-    val n = ceiling(key)
-    if (n != null && ord.equiv(n.key, key)) n.value else null.asInstanceOf[V]
-  }
-
-  /** Insert `key -> mk()` if absent; returns the (existing or new) value. */
-  def getOrInsert(key: K, mk: => V): V = {
-    val n = ceiling(key)
-    if (n != null && ord.equiv(n.key, key)) n.value else insert(key, mk)
-  }
-
-  @tailrec private def insert(key: K, mk: => V): V = {
-    val (preds, succs) = findPreds(key)
-    val at0 = succs(0)
-    if (at0 != null && ord.equiv(at0.key, key)) at0.value
-    else {
-      val node = new Node(key, mk, randomLevel())
-      node.next.set(0, at0)
-      if (!preds(0).next.compareAndSet(0, at0, node)) insert(key, mk) // lost the race; retry
-      else {
-        count.incrementAndGet()
-        // Link the upper levels; a failed CAS at level l re-walks. A node
-        // is visible at level l only after all lower levels are linked.
-        var l = 1
-        while (l < node.levels) {
-          var done = false
-          while (!done) {
-            val (ps, ss) = findPreds(key)
-            val nxt = ss(l)
-            if (nxt != null && ord.equiv(nxt.key, key)) done = true // already linked here
-            else {
-              node.next.set(l, nxt)
-              done = ps(l).next.compareAndSet(l, nxt, node)
-            }
-          }
-          l += 1
-        }
-        node.value
-      }
-    }
-  }
-
-  def size: Long = count.get()
-
-  /** All entries in key order. */
-  def iterator: Iterator[(K, V)] = new Iterator[(K, V)] {
-    private var cur = head.next.get(0)
-    def hasNext: Boolean = cur != null
-    def next(): (K, V) = { val r = (cur.key, cur.value); cur = cur.next.get(0); r }
-  }
-
-  /** Entries with key >= `from`, in key order. */
-  def iteratorFrom(from: K): Iterator[(K, V)] = new Iterator[(K, V)] {
-    private var cur = ceiling(from)
-    def hasNext: Boolean = cur != null
-    def next(): (K, V) = { val r = (cur.key, cur.value); cur = cur.next.get(0); r }
-  }
-}
+import scala.jdk.CollectionConverters._
 
 /** One stored tuple: timestamp plus an opaque payload (typically a
   * `RowCodec`-encoded byte array, but tests also store decoded values).
@@ -290,31 +169,40 @@ object TimeList {
     1 + (Integer.numberOfTrailingZeros(ThreadLocalRandom.current().nextInt() | (1 << 30)) >> 1)
 }
 
-/** The composed two-layer store: skiplist of keys, each holding a
+/** The composed two-layer store: a hash map of keys, each holding a
   * timestamp skiplist of payloads. This is the online tablet's memtable.
+  * Request mode only looks keys up, never walks them in order, so the key
+  * layer is a hash map rather than the paper's key skiplist (OpenMLDB's
+  * own memtable also splits keys by hash first).
   */
-final class TimeSeriesStore[K, P](implicit ord: Ordering[K]) {
-  private val index = new ConcurrentSkipIndex[K, TimeList[P]]
+final class TimeSeriesStore[K, P] {
+  private val index = new ConcurrentHashMap[K, TimeList[P]]
 
-  def put(key: K, ts: Long, payload: P): Unit =
-    index.getOrInsert(key, new TimeList[P]).insert(ts, payload)
+  def put(key: K, ts: Long, payload: P): Unit = {
+    var s = index.get(key)
+    if (s == null) s = index.computeIfAbsent(key, _ => new TimeList[P])
+    s.insert(ts, payload)
+  }
 
   /** The key's time list, or null when the key was never put; callers
     * that read one key several times resolve it once here.
     */
-  def series(key: K): TimeList[P] = index.getOrNull(key)
+  def series(key: K): TimeList[P] = index.get(key)
 
-  def scan(key: K, lo: Long, hi: Long): Iterator[TsEntry[P]] =
-    index.get(key).map(_.scan(lo, hi)).getOrElse(Iterator.empty)
+  def scan(key: K, lo: Long, hi: Long): Iterator[TsEntry[P]] = {
+    val s = series(key)
+    if (s == null) Iterator.empty else s.scan(lo, hi)
+  }
 
-  def latest(key: K, atOrBefore: Long = Long.MaxValue): Option[TsEntry[P]] =
-    index.get(key).flatMap(_.latest(atOrBefore))
+  def latest(key: K, atOrBefore: Long = Long.MaxValue): Option[TsEntry[P]] = {
+    val s = series(key)
+    if (s == null) None else s.latest(atOrBefore)
+  }
 
-  def keys: Iterator[K] = index.iterator.map(_._1)
   def nKeys: Long = index.size
-  def nRows: Long = index.iterator.map(_._2.size).sum
+  def nRows: Long = index.values.asScala.iterator.map(_.size).sum
 
   /** TTL eviction across all keys; returns entries removed. */
   def evictBefore(cutoff: Long): Long =
-    index.iterator.map(_._2.trimBefore(cutoff).toLong).sum
+    index.values.asScala.iterator.map(_.trimBefore(cutoff).toLong).sum
 }

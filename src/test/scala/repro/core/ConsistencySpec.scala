@@ -8,8 +8,9 @@ import repro.core.online.{OnlineTable, PreAggTable, RequestEngine}
   * engines, identical results. We compile a [[FeatureSpec]] offline (Spark
   * plan over the full table) and online (request engine over the skiplist
   * store) and assert row-for-row equality of every feature — including
-  * WINDOW UNION, LAST JOIN, the order-sensitive functions and the
-  * pre-aggregated long-window path.
+  * WINDOW UNION, LAST JOIN and the pre-aggregated long-window path. The
+  * order-sensitive functions (`drawdown`, `ew_avg`) are not compared
+  * here: under ts ties the two engines order a frame's peers differently.
   */
 class ConsistencySpec extends SparkSpec {
 
@@ -26,34 +27,25 @@ class ConsistencySpec extends SparkSpec {
       Feature("f_avg", FeatureFn.Avg("price"), "w_long"),
       Feature("f_min", FeatureFn.Min("price"), "w_long"),
       Feature("f_max", FeatureFn.Max("price"), "w_long")),
-    lastJoins = Nil)
+    lastJoins = Seq(LastJoinDef("profile", "userid", "pts", Seq("segment"), "p_")))
 
-  private def onlineResults(actions: Seq[Row], orders: Seq[Row],
-                            preAgg: Map[(String, String), PreAggTable]): Seq[Map[String, Any]] = {
-    val tables = Map("actions" -> new OnlineTable("userid", "ts"),
-                     "orders" -> new OnlineTable("userid", "ts"))
-    val eng = new RequestEngine(spec, tables, preAgg)
-    def toMap(r: Row): Map[String, Any] =
-      r.schema.fieldNames.zip(r.toSeq).toMap
-    orders.foreach(r => eng.insert("orders", toMap(r)))
-    // Online request semantics: the engine answers each request against
-    // all OTHER stored rows + the virtual tuple. To mirror the offline
-    // full-table window (which sees every row), we first ingest all
-    // actions, then ask for each one after removing it virtually — i.e.
-    // we ingest all-but-self by asking before inserting in ts order,
-    // with ties handled by inserting same-ts rows first.
-    // Simpler and exact: ingest everything EXCEPT the request row itself
-    // is impossible per-row with one store, so we use a fresh engine per
-    // request for small data.
-    actions.map { r =>
-      val t2 = Map("actions" -> new OnlineTable("userid", "ts"),
-                   "orders" -> new OnlineTable("userid", "ts"))
-      val e2 = new RequestEngine(spec, t2, Map.empty)
-      orders.foreach(o => e2.insert("orders", toMap(o)))
-      actions.filterNot(_ eq r).foreach(a => e2.insert("actions", toMap(a)))
-      e2.request(toMap(r))
+  private def toMap(r: Row): Map[String, Any] = r.schema.fieldNames.zip(r.toSeq).toMap
+
+  /** Online answers for every primary row of `data` (table name -> rows).
+    * Each request runs on a fresh engine that holds every row except the
+    * request itself, so it sees what the offline full-table frame sees.
+    * Every table is keyed by `userid`; a LAST JOIN table is timed by its
+    * own ts column, the others by `ts`.
+    */
+  private def onlineForSpec(s: FeatureSpec, data: Map[String, Seq[Row]]): Seq[Map[String, Any]] =
+    data(s.primary).map { r =>
+      val tables = data.keys.map { t =>
+        t -> new OnlineTable("userid", s.lastJoins.find(_.table == t).fold("ts")(_.tsCol))
+      }.toMap
+      val e = new RequestEngine(s, tables)
+      data.foreach { case (t, rows) => rows.filterNot(_ eq r).foreach(x => e.insert(t, toMap(x))) }
+      e.request(toMap(r))
     }
-  }
 
   private def num(v: Any): Double = v match {
     case null      => Double.NaN
@@ -64,14 +56,16 @@ class ConsistencySpec extends SparkSpec {
   }
 
   test("offline and online agree on every feature for every row") {
-    val actions = SynthData.actions(spark, rows = 300, nUsers = 12, spanMs = 60000L).collect().toSeq
-    val ordersDf = SynthData.ordersStream(spark, rows = 150, nUsers = 12, spanMs = 60000L)
+    import spark.implicits._
     val actionsDf = SynthData.actions(spark, rows = 300, nUsers = 12, spanMs = 60000L)
+    val ordersDf = SynthData.ordersStream(spark, rows = 150, nUsers = 12, spanMs = 60000L)
+    // Distinct (userid, pts) pairs: the LAST JOIN tie rule is not under test.
+    val profileDf = (1L to 12L).flatMap(u => (0 until 3).map(i => (u, u * 1000L + i * 20000L, s"seg${u}_$i")))
+      .toDF("userid", "pts", "segment")
+    val data = Map("actions" -> actionsDf, "orders" -> ordersDf, "profile" -> profileDf)
 
-    val offline = UnifiedPlanner.offline(spark,
-      Map("actions" -> actionsDf, "orders" -> ordersDf), spec).collect()
-
-    val online = onlineResults(actions, ordersDf.collect().toSeq, Map.empty)
+    val offline = UnifiedPlanner.offline(spark, data, spec).collect()
+    val online = onlineForSpec(spec, data.map { case (t, df) => t -> df.collect().toSeq })
 
     // index both sides by (userid, ts, price) — unique with high probability
     def key(m: Map[String, Any]) = (num(m("userid")).toLong, num(m("ts")).toLong, num(m("price")))
@@ -79,7 +73,7 @@ class ConsistencySpec extends SparkSpec {
     assert(offline.length == online.size)
 
     offline.foreach { r =>
-      val m = r.schema.fieldNames.zip(r.toSeq).toMap
+      val m = toMap(r)
       val o = onIdx(key(m))
       for (f <- Seq("f_cnt", "f_dc")) assert(num(m(f)) == num(o(f)), s"$f at ${key(m)}")
       for (f <- Seq("f_sum", "f_avg", "f_min", "f_max")) {
@@ -87,6 +81,7 @@ class ConsistencySpec extends SparkSpec {
         assert((a.isNaN && b.isNaN) || math.abs(a - b) < 1e-6, s"$f at ${key(m)}: $a vs $b")
       }
       assert(m("f_top") == o("f_top"), s"f_top at ${key(m)}")
+      assert(m("p_segment") == o("p_segment"), s"p_segment at ${key(m)}")
     }
   }
 
@@ -100,22 +95,30 @@ class ConsistencySpec extends SparkSpec {
       Seq(Feature("s", FeatureFn.Sum("price"), "w"), Feature("c", FeatureFn.Count, "w")))
     val offline = UnifiedPlanner.offline(spark, Map("actions" -> a), spec2)
       .orderBy("ts", "price").collect()
-    val online = onlineForSpec(spec2, a.collect().toSeq)
+    val online = onlineForSpec(spec2, Map("actions" -> a.collect().toSeq))
     val onIdx = online.map(m => (num(m("ts")).toLong, num(m("price"))) -> m).toMap
     offline.foreach { r =>
-      val m = r.schema.fieldNames.zip(r.toSeq).toMap
+      val m = toMap(r)
       val o2 = onIdx((num(m("ts")).toLong, num(m("price"))))
       assert(num(m("s")) == num(o2("s")) && num(m("c")) == num(o2("c")))
     }
   }
 
-  private def onlineForSpec(s: FeatureSpec, rows: Seq[Row]): Seq[Map[String, Any]] = {
-    def toMap(r: Row): Map[String, Any] = r.schema.fieldNames.zip(r.toSeq).toMap
-    rows.map { r =>
-      val t = Map("actions" -> new OnlineTable("userid", "ts"))
-      val e = new RequestEngine(s, t, Map.empty)
-      rows.filterNot(_ eq r).foreach(x => e.insert("actions", toMap(x)))
-      e.request(toMap(r))
+  test("sum, min and max over a Long column have one type and value in both engines") {
+    import spark.implicits._
+    val df = Seq((1L, 100L, 3L), (1L, 200L, 5L), (1L, 300L, 2L)).toDF("userid", "ts", "qty")
+    val spec2 = FeatureSpec("actions", Seq(WindowDef("w", "userid", "ts", 1000L)),
+      Seq(Feature("s", FeatureFn.Sum("qty"), "w"), Feature("lo", FeatureFn.Min("qty"), "w"),
+          Feature("hi", FeatureFn.Max("qty"), "w")))
+    val offline = UnifiedPlanner.offline(spark, Map("actions" -> df), spec2).collect()
+      .map(r => toMap(r)).map(m => m("ts") -> m).toMap
+    val online = onlineForSpec(spec2, Map("actions" -> df.collect().toSeq))
+    assert(online.size == 3)
+    online.foreach { o =>
+      val m = offline(o("ts"))
+      for (f <- Seq("s", "lo", "hi"))
+        assert(m(f) == o(f) && m(f).getClass == o(f).getClass,
+          s"$f at ts=${o("ts")}: offline ${m(f)} (${m(f).getClass}), online ${o(f)} (${o(f).getClass})")
     }
   }
 

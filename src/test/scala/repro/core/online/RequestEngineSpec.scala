@@ -243,4 +243,23 @@ class RequestEngineSpec extends AnyFunSuite {
       assert(out("ew") == ew.result && out("dd") == dd.result, s"at ts=$t")
     }
   }
+
+  test("a row inserted with a Double ts is found by a request and counted by its pre-agg") {
+    val pa = new PreAggTable(Seq(100L, 1000L))
+    val (eng, _) = mkEngine(Map(("w10s", "price") -> pa))
+    eng.insert("actions", Map("userid" -> 1L, "ts" -> 1500.0, "price" -> 9.0, "category" -> "c"))
+    val out = eng.request(action(1, 2000, 1.0, "c"))
+    assert(out("cnt") == 2L && out("price_sum") == 10.0)
+    assert(out("price_avg") == 5.0)
+    assert(pa.query("1", 1000L, 1999L, (_, _) => Iterator.empty).cnt == 1L)
+  }
+
+  test("an engine over missing tables fails naming every one") {
+    val spec = FeatureSpec("actions", Seq(WindowDef("w", "userid", "ts", 1000L, unionTables = Seq("orders"))),
+      Seq(Feature("c", FeatureFn.Count, "w")), Seq(LastJoinDef("profile", "userid", "pts", Seq("segment"))))
+    val e = intercept[IllegalArgumentException] {
+      new RequestEngine(spec, Map("actions" -> new OnlineTable("userid", "ts")))
+    }
+    assert(e.getMessage.contains("orders, profile"), e.getMessage)
+  }
 }

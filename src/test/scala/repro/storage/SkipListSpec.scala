@@ -1,6 +1,6 @@
 package repro.storage
 
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.{ConcurrentLinkedQueue, CyclicBarrier}
 import java.util.concurrent.atomic.AtomicBoolean
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
@@ -12,58 +12,6 @@ class SkipListSpec extends AnyFunSuite {
   private def check(p: Prop): Unit = {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), p)
     assert(res.passed, res.status.toString)
-  }
-
-  // ------------------------------------------------- ConcurrentSkipIndex
-
-  test("index: keys come back in sorted order") {
-    val idx = new ConcurrentSkipIndex[Long, String]
-    Random.shuffle((1L to 200L).toList).foreach(k => idx.getOrInsert(k, s"v$k"))
-    assert(idx.iterator.map(_._1).toSeq == (1L to 200L))
-  }
-
-  test("index: getOrInsert returns the existing value on duplicate key") {
-    val idx = new ConcurrentSkipIndex[String, java.util.concurrent.atomic.AtomicInteger]
-    val a = idx.getOrInsert("k", new java.util.concurrent.atomic.AtomicInteger(1))
-    val b = idx.getOrInsert("k", new java.util.concurrent.atomic.AtomicInteger(2))
-    assert(a eq b)
-    assert(idx.size == 1)
-  }
-
-  test("index: get on missing key is None") {
-    val idx = new ConcurrentSkipIndex[Long, String]
-    idx.getOrInsert(5L, "x")
-    assert(idx.get(4L).isEmpty && idx.get(5L).contains("x"))
-  }
-
-  test("index: iteratorFrom seeks to the ceiling key") {
-    val idx = new ConcurrentSkipIndex[Long, String]
-    Seq(10L, 20L, 30L).foreach(k => idx.getOrInsert(k, s"v$k"))
-    assert(idx.iteratorFrom(15L).map(_._1).toSeq == Seq(20L, 30L))
-    assert(idx.iteratorFrom(20L).map(_._1).toSeq == Seq(20L, 30L))
-    assert(idx.iteratorFrom(31L).isEmpty)
-  }
-
-  test("index: concurrent inserts from 8 threads keep every key, sorted") {
-    val idx = new ConcurrentSkipIndex[Int, Int]
-    val keys = Random.shuffle((1 to 8000).toList)
-    val threads = keys.grouped(1000).map { chunk =>
-      new Thread(() => chunk.foreach(k => idx.getOrInsert(k, k)))
-    }.toList
-    threads.foreach(_.start()); threads.foreach(_.join())
-    val got = idx.iterator.map(_._1).toSeq
-    assert(got == (1 to 8000))
-    assert(idx.size == 8000)
-  }
-
-  test("index: concurrent getOrInsert on the same key yields one value") {
-    val idx = new ConcurrentSkipIndex[String, Object]
-    val results = new java.util.concurrent.ConcurrentLinkedQueue[Object]()
-    val threads = (1 to 8).map(_ => new Thread(() =>
-      (1 to 500).foreach(_ => results.add(idx.getOrInsert("hot", new Object)))))
-    threads.foreach(_.start()); threads.foreach(_.join())
-    import scala.jdk.CollectionConverters._
-    assert(results.asScala.toSet.size == 1)
   }
 
   // ----------------------------------------------------------- TimeList
@@ -215,9 +163,49 @@ class SkipListSpec extends AnyFunSuite {
     assert(st.scan("x", 0, 100).map(_.ts).min == 6L)
   }
 
-  test("store: keys iterate in sorted order") {
+  test("store: a second put on a key appends to its time list") {
     val st = new TimeSeriesStore[String, Int]
-    Seq("pear", "apple", "mango").foreach(k => st.put(k, 1, 0))
-    assert(st.keys.toSeq == Seq("apple", "mango", "pear"))
+    st.put("k", 1, 1)
+    val s = st.series("k")
+    st.put("k", 2, 2)
+    assert(st.series("k") eq s)
+    assert(st.nKeys == 1 && s.size == 2)
+  }
+
+  test("store: series of a missing key is null") {
+    val st = new TimeSeriesStore[Long, String]
+    st.put(5L, 1, "x")
+    assert(st.series(4L) == null && st.latest(4L).isEmpty)
+    assert(st.series(5L).latest().map(_.payload).contains("x"))
+  }
+
+  /** Runs `body(t)` on `n` threads released together. */
+  private def race(n: Int)(body: Int => Unit): Unit = {
+    val start = new CyclicBarrier(n)
+    val threads = (0 until n).map(t => new Thread(() => { start.await(); body(t) }))
+    threads.foreach(_.start()); threads.foreach(_.join())
+  }
+
+  test("store: 8 threads putting overlapping keys keep every key and row") {
+    val st = new TimeSeriesStore[String, Int]
+    val keys = (0 until 2000).map(k => s"u$k")
+    // Every thread walks the keys in the same order, so each key is new to
+    // several threads at the same moment.
+    race(8)(t => keys.zipWithIndex.foreach { case (k, i) => st.put(k, i.toLong * 8 + t, t) })
+    assert(st.nKeys == keys.size)
+    assert(st.nRows == 8L * keys.size)
+    keys.foreach(k => assert(st.scan(k, Long.MinValue, Long.MaxValue).map(_.payload).toSet == (0 until 8).toSet, k))
+  }
+
+  test("store: 8 threads racing on one new key share one time list") {
+    val st = new TimeSeriesStore[String, Int]
+    (0 until 200).foreach { round =>
+      val key = s"hot$round"
+      val seen = new ConcurrentLinkedQueue[TimeList[Int]]()
+      race(8) { t => st.put(key, t.toLong, t); seen.add(st.series(key)) }
+      assert(seen.asScala.forall(_ eq st.series(key)), s"$key: threads saw different time lists")
+      assert(st.series(key).size == 8, s"$key lost rows")
+    }
+    assert(st.nKeys == 200 && st.nRows == 1600)
   }
 }
