@@ -3,25 +3,11 @@ package repro.core.online
 import java.util.concurrent.ConcurrentHashMap
 import scala.jdk.CollectionConverters._
 
-/** Mergeable partial aggregate kept per pre-agg bucket (§5.1): enough
-  * state to answer count(1) / count / sum / avg / min / max by merging.
-  * `rows` counts every row (`count(1)`); `cnt`, `sum`, `min` and `max`
-  * cover only rows whose value column is not null.
-  */
-final case class Partial(rows: Long, cnt: Long, sum: Double, min: Double, max: Double) {
-  def merge(o: Partial): Partial =
-    Partial(rows + o.rows, cnt + o.cnt, sum + o.sum, math.min(min, o.min), math.max(max, o.max))
-  def add(v: Double): Partial =
-    Partial(rows + 1, cnt + 1, sum + v, math.min(min, v), math.max(max, v))
-  /** One more row whose value column is null. */
-  def addNull: Partial = copy(rows = rows + 1)
-}
-object Partial {
-  val empty: Partial = Partial(0L, 0L, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
-}
-
-/** A [[Partial]] being built in place: a query folds buckets and raw
-  * edge rows into one of these instead of allocating a Partial per merge.
+/** Mergeable partial aggregate (§5.1), built in place: enough state to
+  * answer count(1) / count / sum / avg / min / max by merging. `rows`
+  * counts every row (`count(1)`); `cnt`, `sum`, `min` and `max` cover only
+  * rows whose value column is not null. A query folds buckets and raw edge
+  * rows into one of these.
   */
 final class PartialAcc {
   var rows = 0L; var cnt = 0L; var sum = 0.0
@@ -34,7 +20,6 @@ final class PartialAcc {
   }
   /** One more row whose value column is null. */
   def addNull(): Unit = rows += 1
-  def result: Partial = Partial(rows, cnt, sum, min, max)
 }
 
 /** Long-window pre-aggregation (§5.1): a multi-level aggregator hierarchy.
@@ -73,7 +58,8 @@ final class PreAggTable(val levels: Seq[Long]) {
   def insertNull(key: String, ts: Long): Unit = record(key, ts, 0.0, isNull = true)
 
   private def record(key: String, ts: Long, v: Double, isNull: Boolean): Unit = {
-    val agg = state.computeIfAbsent(key, _ => Array.fill(widths.length)(new PreAggTable.Level))
+    var agg = state.get(key)
+    if (agg == null) agg = state.computeIfAbsent(key, _ => Array.fill(widths.length)(new PreAggTable.Level))
     agg.synchronized {
       var i = 0
       while (i < widths.length) {
@@ -87,7 +73,7 @@ final class PreAggTable(val levels: Seq[Long]) {
     * rows for sub-bucket edges and must return (ts, value) pairs.
     */
   def query(key: String, lo: Long, hi: Long,
-            raw: (Long, Long) => Iterator[(Long, Double)]): Partial =
+            raw: (Long, Long) => Iterator[(Long, Double)]): PartialAcc =
     queryRows(key, lo, hi, (l, h, acc) => raw(l, h).foreach { case (_, v) => acc.add(v) })
 
   /** As [[query]], for raw rows whose value may be null: `raw(l, h, acc)`
@@ -98,7 +84,7 @@ final class PreAggTable(val levels: Seq[Long]) {
     * so it adds only its buckets left and right of what is covered. What
     * the finest level leaves uncovered are the raw edges.
     */
-  def queryRows(key: String, lo: Long, hi: Long, raw: (Long, Long, PartialAcc) => Unit): Partial = {
+  def queryRows(key: String, lo: Long, hi: Long, raw: (Long, Long, PartialAcc) => Unit): PartialAcc = {
     val acc = new PartialAcc
     val agg = if (lo > hi) null else state.get(key)
     var buckets = 0
@@ -124,7 +110,7 @@ final class PreAggTable(val levels: Seq[Long]) {
     } else if (lo <= hi) raw(lo, hi, acc)
     lastQueryBuckets = buckets
     lastQueryRawRows = (acc.rows - rows0).toInt
-    acc.result
+    acc
   }
 
   def keyCount: Int = state.size

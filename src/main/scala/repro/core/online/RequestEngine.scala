@@ -224,8 +224,8 @@ final class RequestEngine(
   /** §5.1 fast path: bucket partials plus the raw edges, read from the
     * request's resolved time list, plus the virtual row.
     */
-  private def preAggPartial(b: Served, key: String, s: TimeList[Row], lo: Long, t: Long, req: Row): Partial = {
-    val merged = b.pa.queryRows(key, lo, t, (l, h, acc) =>
+  private def preAggPartial(b: Served, key: String, s: TimeList[Row], lo: Long, t: Long, req: Row): PartialAcc = {
+    val acc = b.pa.queryRows(key, lo, t, (l, h, acc) =>
       if (s != null) {
         val it = s.scan(l, h)
         while (it.hasNext) {
@@ -234,7 +234,8 @@ final class RequestEngine(
         }
       })
     val v = req.getOrElse(b.valCol, null)
-    if (v == null) merged.addNull else merged.add(num(v))
+    if (v == null) acc.addNull() else acc.add(num(v))
+    acc
   }
 }
 
@@ -268,7 +269,7 @@ object RequestEngine {
   /** One pre-aggregated feature from its binding's merged partial, which
     * includes the virtual row.
     */
-  private def fromPartial(fn: FeatureFn, p: Partial): Any = fn match {
+  private def fromPartial(fn: FeatureFn, p: PartialAcc): Any = fn match {
     case FeatureFn.Count  => p.rows
     case FeatureFn.Sum(_) => if (p.cnt == 0) null else p.sum
     case FeatureFn.Avg(_) => if (p.cnt == 0) null else p.sum / p.cnt

@@ -1,7 +1,7 @@
 package repro.core.online
 
-import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, LinkedBlockingQueue}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+import java.util.concurrent.{CountDownLatch, LinkedBlockingQueue}
+import java.util.concurrent.atomic.AtomicReference
 import scala.collection.mutable.ArrayBuffer
 
 /** Multi-table window-union streaming executors (§5.2 and §9.3.2).
@@ -96,96 +96,108 @@ object WindowUnionStream {
     }
   }
 
-  private final class KeyProgress(var next: Int, var lastTs: Long)
+  /** One key's part of a run, built by the pre-pass: its window state,
+    * its sequence gate (the seq of the tuple to run next) and the tuples
+    * that reached a worker before their turn, by seq. Workers touch the
+    * gate and the parked tuples only under this record's monitor.
+    */
+  private final class KeyRun(val key: String, val id: Int) {
+    val state = new KeyState
+    var tuples = 0              // pre-pass: seq of the key's next tuple
+    var lastTs = Long.MinValue  // pre-pass: ts of the key's last tuple
+    private var next = 0
+    private val parked = new java.util.HashMap[Integer, Integer]()
+
+    /** True if tuple `idx`, the key's `seq`-th, may run now; otherwise
+      * parks it for the worker that runs its predecessor.
+      */
+    def admit(idx: Int, seq: Int): Boolean = synchronized {
+      seq == next || { parked.put(seq, idx); false }
+    }
+
+    /** Opens the gate to the next seq; returns that tuple's index if it is
+      * parked (the caller runs it), else -1.
+      */
+    def advance(): Int = synchronized {
+      next += 1
+      val p = if (parked.isEmpty) null else parked.remove(next)
+      if (p == null) -1 else p.intValue()
+    }
+
+    def parkedCount: Int = synchronized(parked.size)
+  }
 
   abstract class ThreadedEngine(nWorkers: Int) {
 
-    /** worker id for a tuple at submission time */
-    protected def route(key: String): Int
+    /** A router for one run: maps a key id (an index into `keys`) to a
+      * worker. Only the thread that calls `run` uses it, once per tuple in
+      * submission order.
+      */
+    protected def router(keys: IndexedSeq[String]): Int => Int
+
+    /** Static hash routing of `key`. */
+    protected final def hashed(key: String): Int = math.floorMod(key.hashCode, nWorkers)
 
     /** Answers `t` from its key's state in the current run. */
     protected def handle(t: StreamTuple, st: KeyState): Double
 
     /** Run the whole stream; returns per-tuple results in input order.
       *
-      * Per-key ordering across key handoffs: every tuple carries its
-      * per-key sequence number. If a worker dequeues tuple n of a key
-      * before tuple n-1 has been processed (the predecessor is still in
-      * the old worker's backlog after a rebalance), it parks the tuple in
-      * a pending map instead of computing a wrong early answer; whichever
-      * worker processes the predecessor then chain-processes the parked
-      * successor. Ordering stays exact with zero spinning — the §5.2
-      * contract without the throughput cliff of busy requeueing.
+      * A pre-pass gives each distinct key one [[KeyRun]] and each tuple its
+      * key id and per-key sequence number. A worker runs a tuple only when
+      * its key's gate is at the tuple's seq; otherwise it parks the tuple
+      * on the key's record (its predecessor is still in another worker's
+      * backlog after a key moved). Whichever worker runs the predecessor
+      * then runs the parked successor, so ordering stays exact with zero
+      * spinning — the §5.2 contract without busy requeueing.
       *
-      * Key states and sequence gates belong to one call, so an engine can
+      * Key records and the router belong to one call, so an engine can
       * run any number of streams.
       *
       * @throws IllegalArgumentException if a key's `ts` goes backwards in
       *         `tuples`; checked before any worker starts
-      * @throws Throwable the first error a worker hit (in `handle` or
-      *         `onProcessed`), after the other workers drained their queues
+      * @throws Throwable the first error a worker hit in `handle`, after
+      *         the other workers drained their queues
       */
     def run(tuples: IndexedSeq[StreamTuple]): Array[Double] = {
       val results = new Array[Double](tuples.length)
-      // per-tuple per-key sequence numbers; submission order must be ts
-      // order per key, which is what lets KeyState evict for good
-      val seqOf: Array[Int] = {
-        val out = new Array[Int](tuples.length)
-        val seen = scala.collection.mutable.HashMap.empty[String, KeyProgress]
-        tuples.indices.foreach { i =>
-          val t = tuples(i)
-          val p = seen.getOrElseUpdate(t.key, new KeyProgress(0, t.ts))
-          require(t.ts >= p.lastTs,
-            s"key ${t.key}: ts ${t.ts} comes after ts ${p.lastTs}; run needs each key's tuples in ts order")
-          out(i) = p.next
-          p.next += 1
-          p.lastTs = t.ts
-        }
-        out
+      // pre-pass: each key's record, each tuple's key id and per-key seq;
+      // submission order must be ts order per key, which is what lets
+      // KeyState evict for good
+      val keyOf = new Array[Int](tuples.length)
+      val seqOf = new Array[Int](tuples.length)
+      val byKey = new java.util.HashMap[String, KeyRun]()
+      val runsBuf = ArrayBuffer.empty[KeyRun]
+      tuples.indices.foreach { i =>
+        val t = tuples(i)
+        var r = byKey.get(t.key)
+        if (r == null) { r = new KeyRun(t.key, runsBuf.length); byKey.put(t.key, r); runsBuf += r }
+        require(t.ts >= r.lastTs,
+          s"key ${t.key}: ts ${t.ts} comes after ts ${r.lastTs}; run needs each key's tuples in ts order")
+        keyOf(i) = r.id
+        seqOf(i) = r.tuples
+        r.tuples += 1
+        r.lastTs = t.ts
       }
-      val states = new ConcurrentHashMap[String, KeyState]()
-      val seqDone = new ConcurrentHashMap[String, AtomicInteger]()
-      // (key, seq) -> parked tuple index awaiting its predecessor
-      val pending = new ConcurrentHashMap[(String, Int), Integer]()
+      val runs = runsBuf.toArray
+      val route = router(runs.map(_.key).toIndexedSeq)
       val queues = Array.fill(nWorkers)(new LinkedBlockingQueue[Integer]())
       val done = new CountDownLatch(nWorkers)
       val failure = new AtomicReference[Throwable]()
 
-      def process(idx0: Int): Unit = {
-        var idx = idx0
-        while (idx >= 0) {
-          val t = tuples(idx)
-          results(idx) = handle(t, states.computeIfAbsent(t.key, _ => new KeyState))
-          onProcessed()
-          val gate = seqDone.get(t.key)
-          val nextSeq = gate.incrementAndGet()
-          // chain-process a parked successor, if any arrived early
-          val parked = pending.remove((t.key, nextSeq))
-          idx = if (parked != null) parked.intValue() else -1
-        }
-      }
-
       val workers = (0 until nWorkers).map { w =>
         val th = new Thread(() => {
           try {
-            var stop = false
-            while (!stop) {
-              val idx = queues(w).take()
-              if (idx < 0) stop = true
-              else {
-                val t = tuples(idx)
-                val gate = seqDone.computeIfAbsent(t.key, _ => new AtomicInteger(0))
-                if (gate.get() == seqOf(idx)) process(idx)
-                else {
-                  // park; re-check the gate to close the race where the
-                  // predecessor finished between our check and the put
-                  pending.put((t.key, seqOf(idx)), idx)
-                  if (gate.get() == seqOf(idx)) {
-                    val again = pending.remove((t.key, seqOf(idx)))
-                    if (again != null) process(again.intValue())
-                  }
-                }
+            var idx = queues(w).take().intValue()
+            while (idx >= 0) {
+              val r = runs(keyOf(idx))
+              // run the tuple and every parked successor it unblocks
+              var next = if (r.admit(idx, seqOf(idx))) idx else -1
+              while (next >= 0) {
+                results(next) = handle(tuples(next), r.state)
+                next = r.advance()
               }
+              idx = queues(w).take().intValue()
             }
           } catch {
             // this worker stops; the others drain their queues (their
@@ -195,80 +207,71 @@ object WindowUnionStream {
         }, s"union-worker-$w")
         th.setDaemon(true); th.start(); th
       }
-      tuples.indices.foreach(i => queues(route(tuples(i).key)).put(i))
+      tuples.indices.foreach(i => queues(route(keyOf(i))).put(i))
       queues.foreach(_.put(-1))
       done.await()
       workers.foreach(_.join())
       val err = failure.get()
       if (err != null) throw err
-      // a parked tail tuple whose predecessor chain completed after the
-      // final poison is impossible: chains fire synchronously inside
-      // process(), so by worker exit every tuple has been handled
-      require(pending.isEmpty, s"unprocessed parked tuples: ${pending.size()}")
+      // a successor runs inside its predecessor's chain, so once every
+      // worker has drained its queue nothing can be left parked
+      val left = runs.map(_.parkedCount).sum
+      require(left == 0, s"unprocessed parked tuples: $left")
       results
     }
-
-    protected def onProcessed(): Unit = ()
   }
 
   /** Flink-style baseline: static hash routing + O(w) rescan per tuple. */
   final class StaticUnion(nWorkers: Int, windowMs: Long) extends ThreadedEngine(nWorkers) {
-    protected def route(key: String): Int = math.floorMod(key.hashCode, nWorkers)
+    protected def router(keys: IndexedSeq[String]): Int => Int = k => hashed(keys(k))
     protected def handle(t: StreamTuple, st: KeyState): Double = st.rescan(t.ts, t.value, windowMs)
   }
 
   /** The paper's engine: dynamic key->worker routing + subtract-and-evict. */
   final class SelfAdjustingUnion(nWorkers: Int, windowMs: Long,
                                  rebalanceEvery: Int = 20000) extends ThreadedEngine(nWorkers) {
-    private val routing = new ConcurrentHashMap[String, Integer]()
-    private val keyLoad = new ConcurrentHashMap[String, java.util.concurrent.atomic.AtomicLong]()
-    private val sinceRebalance = new java.util.concurrent.atomic.AtomicLong(0)
-    @volatile var rebalances: Int = 0
+    /** Rebalances that moved keys, over every run so far. */
+    var rebalances: Int = 0
 
-    protected def route(key: String): Int = {
-      keyLoad.computeIfAbsent(key, _ => new java.util.concurrent.atomic.AtomicLong(0)).incrementAndGet()
-      val r = routing.get(key)
-      if (r != null) r.intValue() else math.floorMod(key.hashCode, nWorkers)
-    }
+    protected def router(keys: IndexedSeq[String]): Int => Int = new Balancer(keys)
 
     protected def handle(t: StreamTuple, st: KeyState): Double = st.addAndQuery(t.ts, t.value, windowMs)
 
-    override protected def onProcessed(): Unit = {
-      if (sinceRebalance.incrementAndGet() % rebalanceEvery == 0) rebalance()
-    }
-
-    /** Move the hottest keys off the most loaded worker onto the least
-      * loaded one (runtime-metric-driven, as in §5.2 step 1).
+    /** One run's routing table and per-key load, counted as tuples are
+      * submitted; every `rebalanceEvery` submitted tuples it moves the
+      * hottest keys off the most loaded worker onto the least loaded one
+      * (runtime-metric-driven, as in §5.2 step 1).
       */
-    private def rebalance(): Unit = synchronized {
-      val loadPerWorker = Array.fill(nWorkers)(0L)
-      val it = keyLoad.entrySet().iterator()
-      // one snapshot of (worker, load) per key: the feeding thread keeps
-      // counting while this runs, and a sort over live counters breaks
-      // the comparator's contract
-      val keyToWorker = scala.collection.mutable.HashMap.empty[String, (Int, Long)]
-      while (it.hasNext) {
-        val e = it.next()
-        val w = { val r = routing.get(e.getKey); if (r != null) r.intValue() else math.floorMod(e.getKey.hashCode, nWorkers) }
-        val load = e.getValue.get()
-        keyToWorker(e.getKey) = (w, load)
-        loadPerWorker(w) += load
+    private final class Balancer(keys: IndexedSeq[String]) extends (Int => Int) {
+      private val worker = keys.map(hashed).toArray
+      private val load = new Array[Long](keys.length)
+      private var submitted = 0
+
+      def apply(k: Int): Int = {
+        load(k) += 1
+        submitted += 1
+        if (submitted == rebalanceEvery) { submitted = 0; rebalance() }
+        worker(k)
       }
-      val hot  = loadPerWorker.indices.maxBy(loadPerWorker)
-      val cold = loadPerWorker.indices.minBy(loadPerWorker)
-      if (hot != cold && loadPerWorker(hot) > 2 * math.max(1L, loadPerWorker(cold))) {
-        // move the hot worker's heaviest keys until roughly even
-        val hotKeys = keyToWorker.collect { case (k, (w, load)) if w == hot => (k, load) }.toSeq
-          .sortBy(-_._2)
-        var moved = 0L
-        val target = (loadPerWorker(hot) - loadPerWorker(cold)) / 2
-        hotKeys.takeWhile { case (k, load) =>
-          // never empty the hot worker entirely; move large keys first
-          routing.put(k, Integer.valueOf(cold))
-          moved += load
-          moved < target
+
+      private def rebalance(): Unit = {
+        val loadPerWorker = new Array[Long](nWorkers)
+        load.indices.foreach(k => loadPerWorker(worker(k)) += load(k))
+        val hot  = loadPerWorker.indices.maxBy(loadPerWorker)
+        val cold = loadPerWorker.indices.minBy(loadPerWorker)
+        if (hot != cold && loadPerWorker(hot) > 2 * math.max(1L, loadPerWorker(cold))) {
+          // move the hot worker's heaviest keys until roughly even
+          val hotKeys = load.indices.filter(worker(_) == hot).sortBy(k => -load(k))
+          var moved = 0L
+          val target = (loadPerWorker(hot) - loadPerWorker(cold)) / 2
+          hotKeys.takeWhile { k =>
+            // never empty the hot worker entirely; move large keys first
+            worker(k) = cold
+            moved += load(k)
+            moved < target
+          }
+          rebalances += 1
         }
-        rebalances += 1
       }
     }
   }

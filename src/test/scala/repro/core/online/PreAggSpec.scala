@@ -17,10 +17,13 @@ class PreAggSpec extends AnyFunSuite {
   private def rawScan(data: Seq[(Long, Double)])(lo: Long, hi: Long): Iterator[(Long, Double)] =
     data.iterator.filter { case (ts, _) => ts >= lo && ts <= hi }
 
-  private def reference(data: Seq[(Long, Double)], lo: Long, hi: Long): Partial =
-    rawScan(data)(lo, hi).foldLeft(Partial.empty) { case (p, (_, v)) => p.add(v) }
+  private def reference(data: Seq[(Long, Double)], lo: Long, hi: Long): PartialAcc = {
+    val acc = new PartialAcc
+    rawScan(data)(lo, hi).foreach { case (_, v) => acc.add(v) }
+    acc
+  }
 
-  private def assertSame(a: Partial, b: Partial): Unit = {
+  private def assertSame(a: PartialAcc, b: PartialAcc): Unit = {
     assert(a.cnt == b.cnt)
     assert(math.abs(a.sum - b.sum) < 1e-6)
     if (a.cnt > 0) { assert(a.min == b.min); assert(a.max == b.max) }
@@ -110,13 +113,6 @@ class PreAggSpec extends AnyFunSuite {
     assertSame(pa.query("k", -20, 9, rawScan(data)), reference(data, -20, 9))
   }
 
-  test("partial merge combines count/sum/min/max") {
-    val a = Partial.empty.add(1.0).add(5.0)
-    val b = Partial.empty.add(-3.0)
-    val m = a.merge(b)
-    assert(m.cnt == 3 && m.sum == 3.0 && m.min == -3.0 && m.max == 5.0)
-  }
-
   test("bucketCount grows with inserted span, not row count") {
     val pa = new PreAggTable(Seq(100L))
     (0L until 1000L).foreach(t => pa.insert("k", t % 200, 1.0)) // 2 buckets only
@@ -150,7 +146,7 @@ class PreAggSpec extends AnyFunSuite {
       pa.bucketCount == buckets && qs.forall { case (a, b) =>
         val (lo, hi) = (math.min(a, b), math.max(a, b))
         val got  = pa.queryRows("k", lo, hi, fold)
-        val want = { val acc = new PartialAcc; fold(lo, hi, acc); acc.result }
+        val want = { val acc = new PartialAcc; fold(lo, hi, acc); acc }
         got.rows == want.rows && got.cnt == want.cnt && got.sum == want.sum &&
           (want.cnt == 0 || (got.min == want.min && got.max == want.max))
       }

@@ -125,12 +125,26 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
     val tuples = LocalGen.unionStream(20000, nKeys = 50, seed = 26)
     val bad = tuples(12345)
     val eng = new ThreadedEngine(3) {
-      protected def route(key: String): Int = math.floorMod(key.hashCode, 3)
+      protected def router(keys: IndexedSeq[String]): Int => Int = k => hashed(keys(k))
       protected def handle(t: StreamTuple, st: KeyState): Double =
         if (t eq bad) throw new IllegalStateException("boom") else st.addAndQuery(t.ts, t.value, 500)
     }
     val e = intercept[IllegalStateException](failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler))
     assert(e.getMessage == "boom")
+  }
+
+  test("every tuple handed to another worker still runs in its key's order") {
+    // each key's successive tuples go to successive workers, so every tuple
+    // is a handoff and one key's tuples park on several workers at once
+    val tuples = LocalGen.unionStream(50000, nKeys = 20, alpha = 1.5)
+    val eng = new ThreadedEngine(4) {
+      protected def router(keys: IndexedSeq[String]): Int => Int = {
+        val turn = new Array[Int](keys.length)
+        k => { val w = turn(k); turn(k) = (w + 1) % 4; w }
+      }
+      protected def handle(t: StreamTuple, st: KeyState): Double = st.addAndQuery(t.ts, t.value, 2000)
+    }
+    closeEnough(failAfter(60.seconds)(eng.run(tuples))(ThreadSignaler), sequentialReference(tuples, 2000))
   }
 
   test("one engine runs the same stream twice with the same answers") {
