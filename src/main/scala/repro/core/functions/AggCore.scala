@@ -76,17 +76,21 @@ object AggCore {
     var freq = new java.util.HashMap[String, java.lang.Long]
     def update(in: String): Unit = if (in != null) freq.merge(in, 1L, TopNFreqState.Plus)
     def merge(o: TopNFreqState): Unit = o.freq.forEach((k, c) => freq.merge(k, c, TopNFreqState.Plus))
+    /** Selects the top n with a bounded heap whose head is the worst kept
+      * entry, so no request sorts every distinct value.
+      */
     def result: String = {
-      val es = freq.entrySet.toArray(new Array[java.util.Map.Entry[String, java.lang.Long]](0))
-      java.util.Arrays.sort(es, TopNFreqState.ByCountThenKey)
-      val sb = new java.lang.StringBuilder
-      var i = 0
-      while (i < es.length && i < n) {
-        if (i > 0) sb.append(',')
-        sb.append(es(i).getKey)
-        i += 1
+      val by = TopNFreqState.ByCountThenKey
+      val top = new java.util.PriorityQueue[java.util.Map.Entry[String, java.lang.Long]](
+        math.max(1, math.min(n, freq.size)), by.reversed)
+      freq.entrySet.forEach { e =>
+        if (top.size < n) top.add(e)
+        else if (n > 0 && by.compare(e, top.peek) < 0) { top.poll(); top.add(e) }
       }
-      sb.toString
+      val keys = new Array[String](top.size)
+      var i = keys.length - 1
+      while (i >= 0) { keys(i) = top.poll().getKey; i -= 1 }
+      String.join(",", keys: _*)
     }
   }
   object TopNFreqState {
@@ -184,7 +188,8 @@ object AggCore {
   }
 
   /** multiclass_label: numeric-like value to a dense non-negative int
-    * class label; strings are hashed into 2^20 classes.
+    * class label (fractions truncate); strings and other values are hashed
+    * into 2^20 classes. The SQL `multiclass_label` calls this too.
     */
   def multiclassLabel(v: Any): Integer = v match {
     case null       => null
@@ -192,6 +197,10 @@ object AggCore {
     case l: Long    => l.toInt
     case d: Double  => d.toInt
     case f: Float   => f.toInt
+    case s: Short   => s.toInt
+    case b: Byte    => b.toInt
+    case d: java.math.BigDecimal => d.doubleValue.toInt
+    case d: BigDecimal => d.toDouble.toInt
     case s: String  => featureHash(s, 1 << 20)
     case other      => featureHash(other.toString, 1 << 20)
   }

@@ -35,17 +35,11 @@ object Expressions {
     override def dataType: DataType = IntegerType
     override def nullable: Boolean = true
     override def prettyName: String = "multiclass_label"
-    override protected def nullSafeEval(v: Any): Any = v match {
-      case i: Int          => i
-      case l: Long         => l.toInt
-      case d: Double       => d.toInt
-      case f: Float        => f.toInt
-      case s: Short        => s.toInt
-      case b: Byte         => b.toInt
-      case d: org.apache.spark.sql.types.Decimal => d.toDouble.toInt
-      case s: UTF8String   => AggCore.featureHash(s.toString, 1 << 20)
-      case other           => AggCore.featureHash(other.toString, 1 << 20)
-    }
+    override protected def nullSafeEval(v: Any): Any = AggCore.multiclassLabel(v match {
+      case s: UTF8String => s.toString
+      case d: Decimal    => d.toJavaBigDecimal
+      case other         => other
+    })
     override protected def withNewChildInternal(c: Expression): Expression = copy(c)
   }
 

@@ -1,17 +1,17 @@
 package repro.core.offline
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
 /** WINDOW UNION (Table 1, §5.2): aggregate over a time window whose
   * contents come from the primary table *and* one or more secondary
   * tables, partitioned by a shared key — without the UNION ALL +
   * origin-label boilerplate standard SQL would need.
   *
-  * Offline plan shape: project every table to the shared (key, ts,
-  * value-columns) schema with an `__is_primary` tag, `unionByName`,
-  * compute the window aggregates over the union, then keep only primary
-  * rows (secondary rows feed frames but produce no output).
+  * Offline plan shape: project every secondary to the primary's columns,
+  * then [[TaggedUnion]]: union under the tagged primary, compute the window
+  * aggregates over the union, keep only primary rows (secondary rows feed
+  * frames but produce no output).
   */
 object WindowUnion {
 
@@ -29,15 +29,7 @@ object WindowUnion {
   def apply(primary: DataFrame, secondaries: Seq[DataFrame], keyCol: String,
             tsCol: String, rangeMs: Long, aggs: Seq[(String, Column)]): DataFrame = {
     val shared = primary.columns.toSeq
-    val tagged = primary.withColumn("__is_primary", lit(1)) +:
-      secondaries.map { s =>
-        val cols = shared.map { c =>
-          if (s.columns.contains(c)) col(c) else lit(null).cast(primary.schema(c).dataType).as(c)
-        }
-        s.select(cols: _*).withColumn("__is_primary", lit(0))
-      }
-    val unioned = tagged.reduce(_.unionByName(_))
-    RangeFrame(unioned, keyCol, tsCol, rangeMs, aggs)
-      .filter(col("__is_primary") === 1).drop("__is_primary")
+    val others = secondaries.map(s => s.select(shared.filter(s.columns.contains).map(col): _*))
+    TaggedUnion(primary, others)(RangeFrame(_, keyCol, tsCol, rangeMs, aggs))
   }
 }

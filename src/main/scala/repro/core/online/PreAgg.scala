@@ -113,7 +113,6 @@ final class PreAggTable(val levels: Seq[Long]) {
     acc
   }
 
-  def keyCount: Int = state.size
   def bucketCount: Long = state.values.asScala.map(_.map(_.size.toLong).sum).sum
 }
 

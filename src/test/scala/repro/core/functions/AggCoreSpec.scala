@@ -78,6 +78,10 @@ class AggCoreSpec extends AnyFunSuite {
     val s = new TopNFreqState(3)
     Seq("z", "y", "x").foreach(s.update)
     assert(s.result == "x,y,z")
+    // a tie at the n-th place: {a:2, b:1, c:1, d:1} with n = 2
+    val atN = new TopNFreqState(2)
+    Seq("d", "c", "b", "a", "a").foreach(atN.update)
+    assert(atN.result == "a,b")
   }
 
   test("topn_frequency with n larger than distinct keys returns all") {
@@ -240,6 +244,10 @@ class AggCoreSpec extends AnyFunSuite {
     assert(multiclassLabel(7) == 7)
     assert(multiclassLabel(7L) == 7)
     assert(multiclassLabel(7.9) == 7)
+    assert(multiclassLabel(7.toShort) == 7)
+    assert(multiclassLabel(7.toByte) == 7)
+    assert(multiclassLabel(new java.math.BigDecimal("7.9")) == 7)
+    assert(multiclassLabel(BigDecimal(7.9)) == 7)
     assert(multiclassLabel(null) == null)
     val h = multiclassLabel("cat")
     assert(h >= 0 && h < (1 << 20))

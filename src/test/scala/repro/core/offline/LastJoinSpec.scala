@@ -88,6 +88,33 @@ class LastJoinSpec extends SparkSpec {
     assert(out.map(_.getString(3)).toSeq == Seq("mx", "my"))
   }
 
+  test("null keys never match on either side") {
+    import spark.implicits._
+    val left = Seq((Some(1L), 100L, "l1"), (None, 100L, "lnull")).toDF("k", "ts", "tag")
+    val right = Seq((Some(1L), 40L, "a"), (None, 60L, "rnull")).toDF("k", "pts", "pval")
+    val out = LastJoin(left, right, Seq("k"), "ts", "pts", Seq("pval")).collect()
+      .map(r => r.getString(2) -> Option(r.getString(3))).toMap
+    assert(out == Map("l1" -> Some("a"), "lnull" -> None))
+  }
+
+  test("a right row with a null ts never matches") {
+    import spark.implicits._
+    val left = Seq((1L, Some(100L), "l1"), (2L, Some(100L), "l2"), (2L, None, "lnull"))
+      .toDF("k", "ts", "tag")
+    val right = Seq((1L, None, "zz"), (2L, None, "zz"), (2L, Some(90L), "b"))
+      .toDF("k", "pts", "pval")
+    val out = LastJoin(left, right, Seq("k"), "ts", "pts", Seq("pval")).collect()
+      .map(r => r.getString(2) -> Option(r.getString(3))).toMap
+    assert(out == Map("l1" -> None, "l2" -> Some("b"), "lnull" -> None))
+  }
+
+  test("output columns are the left columns, then the value columns") {
+    import spark.implicits._
+    val right = Seq((1L, 90L, "a", 1.0)).toDF("k", "pts", "v1", "v2")
+    val out = LastJoin(requests, right, Seq("k"), "ts", "pts", Seq("v2", "v1"))
+    assert(out.columns.toSeq == Seq("k", "ts", "tag", "v2", "v1"))
+  }
+
   test("last join against a bigger random table agrees with the oracle") {
     import spark.implicits._
     val rnd = new scala.util.Random(42)
