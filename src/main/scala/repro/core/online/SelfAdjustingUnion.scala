@@ -127,6 +127,9 @@ object WindowUnionStream {
     def parkedCount: Int = synchronized(parked.size)
   }
 
+  /** Tuple indices per hand-off from the feeding thread to a worker. */
+  private[online] final val BlockSize = 512
+
   abstract class ThreadedEngine(nWorkers: Int) {
 
     /** A router for one run: maps a key id (an index into `keys`) to a
@@ -150,6 +153,14 @@ object WindowUnionStream {
       * backlog after a key moved). Whichever worker runs the predecessor
       * then runs the parked successor, so ordering stays exact with zero
       * spinning — the §5.2 contract without busy requeueing.
+      *
+      * The calling thread routes every tuple, in submission order, and
+      * appends its index to that worker's pending block; a full block of
+      * [[BlockSize]] indices goes on the worker's queue in one hand-off,
+      * and at the end each partial block follows, then an empty block as
+      * the end marker. A tuple whose key moved while its predecessors sat
+      * in the old worker's unflushed block parks like any other. The
+      * queues are unbounded, so a worker that died never blocks the feed.
       *
       * Key records and the router belong to one call, so an engine can
       * run any number of streams.
@@ -181,23 +192,28 @@ object WindowUnionStream {
       }
       val runs = runsBuf.toArray
       val route = router(runs.map(_.key).toIndexedSeq)
-      val queues = Array.fill(nWorkers)(new LinkedBlockingQueue[Integer]())
+      val queues = Array.fill(nWorkers)(new LinkedBlockingQueue[Array[Int]]())
       val done = new CountDownLatch(nWorkers)
       val failure = new AtomicReference[Throwable]()
 
       val workers = (0 until nWorkers).map { w =>
         val th = new Thread(() => {
           try {
-            var idx = queues(w).take().intValue()
-            while (idx >= 0) {
-              val r = runs(keyOf(idx))
-              // run the tuple and every parked successor it unblocks
-              var next = if (r.admit(idx, seqOf(idx))) idx else -1
-              while (next >= 0) {
-                results(next) = handle(tuples(next), r.state)
-                next = r.advance()
+            var block = queues(w).take()
+            while (block.length > 0) {
+              var j = 0
+              while (j < block.length) {
+                val idx = block(j)
+                val r = runs(keyOf(idx))
+                // run the tuple and every parked successor it unblocks
+                var next = if (r.admit(idx, seqOf(idx))) idx else -1
+                while (next >= 0) {
+                  results(next) = handle(tuples(next), r.state)
+                  next = r.advance()
+                }
+                j += 1
               }
-              idx = queues(w).take().intValue()
+              block = queues(w).take()
             }
           } catch {
             // this worker stops; the others drain their queues (their
@@ -207,8 +223,30 @@ object WindowUnionStream {
         }, s"union-worker-$w")
         th.setDaemon(true); th.start(); th
       }
-      tuples.indices.foreach(i => queues(route(keyOf(i))).put(i))
-      queues.foreach(_.put(-1))
+      // plain arrays and loops: a ClassTag-built array of arrays would
+      // leave an entry in Scala's ClassTag cache behind every run
+      val pending = new Array[Array[Int]](nWorkers)
+      val filled = new Array[Int](nWorkers)
+      var w = 0
+      while (w < nWorkers) { pending(w) = new Array[Int](BlockSize); w += 1 }
+      var i = 0
+      while (i < tuples.length) {
+        w = route(keyOf(i))
+        pending(w)(filled(w)) = i
+        filled(w) += 1
+        if (filled(w) == BlockSize) {
+          queues(w).put(pending(w))
+          pending(w) = new Array[Int](BlockSize)
+          filled(w) = 0
+        }
+        i += 1
+      }
+      w = 0
+      while (w < nWorkers) {
+        if (filled(w) > 0) queues(w).put(java.util.Arrays.copyOf(pending(w), filled(w)))
+        queues(w).put(new Array[Int](0))
+        w += 1
+      }
       done.await()
       workers.foreach(_.join())
       val err = failure.get()
@@ -260,17 +298,20 @@ object WindowUnionStream {
         val hot  = loadPerWorker.indices.maxBy(loadPerWorker)
         val cold = loadPerWorker.indices.minBy(loadPerWorker)
         if (hot != cold && loadPerWorker(hot) > 2 * math.max(1L, loadPerWorker(cold))) {
-          // move the hot worker's heaviest keys until roughly even
-          val hotKeys = load.indices.filter(worker(_) == hot).sortBy(k => -load(k))
-          var moved = 0L
-          val target = (loadPerWorker(hot) - loadPerWorker(cold)) / 2
-          hotKeys.takeWhile { k =>
-            // never empty the hot worker entirely; move large keys first
-            worker(k) = cold
-            moved += load(k)
-            moved < target
+          // move the hot worker's heaviest keys that fit in the gap: a key
+          // at least as heavy as the gap would only make the cold worker
+          // the hot one, and since loads are cumulative it would flip back
+          // at the next rebalance, parking tuples at every flip
+          var gap = loadPerWorker(hot) - loadPerWorker(cold)
+          var moved = false
+          load.indices.filter(worker(_) == hot).sortBy(k => -load(k)).foreach { k =>
+            if (load(k) > 0 && load(k) < gap) {
+              worker(k) = cold
+              gap -= 2 * load(k)
+              moved = true
+            }
           }
-          rebalances += 1
+          if (moved) rebalances += 1
         }
       }
     }

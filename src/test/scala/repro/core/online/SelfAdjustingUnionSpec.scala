@@ -123,14 +123,61 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
 
   test("a worker that throws makes run throw instead of hanging") {
     val tuples = LocalGen.unionStream(20000, nKeys = 50, seed = 26)
-    val bad = tuples(12345)
+    // the throw hits the middle of worker 0's third block, and it waits
+    // until every tuple is routed, so full blocks sit queued behind it
+    val onFirst = tuples.filter(t => math.floorMod(t.key.hashCode, 3) == 0)
+    assert(onFirst.size > 4 * BlockSize)
+    val bad = onFirst(2 * BlockSize + BlockSize / 2)
+    val routed = new java.util.concurrent.CountDownLatch(tuples.size)
     val eng = new ThreadedEngine(3) {
-      protected def router(keys: IndexedSeq[String]): Int => Int = k => hashed(keys(k))
+      protected def router(keys: IndexedSeq[String]): Int => Int =
+        k => { routed.countDown(); hashed(keys(k)) }
       protected def handle(t: StreamTuple, st: KeyState): Double =
-        if (t eq bad) throw new IllegalStateException("boom") else st.addAndQuery(t.ts, t.value, 500)
+        if (t eq bad) {
+          routed.await(10, java.util.concurrent.TimeUnit.SECONDS)
+          throw new IllegalStateException("boom")
+        } else st.addAndQuery(t.ts, t.value, 500)
     }
     val e = intercept[IllegalStateException](failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler))
     assert(e.getMessage == "boom")
+    assert(routed.getCount == 0)
+  }
+
+  test("streams around the block size agree with the reference on both engines") {
+    val sizes = Seq(0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 2 * BlockSize + 1)
+    for (n <- sizes; workers <- Seq(1, 2, 4)) {
+      val tuples = LocalGen.unionStream(n, nKeys = 5, seed = 29)
+      val want = sequentialReference(tuples, 300)
+      Seq(new StaticUnion(workers, 300), new SelfAdjustingUnion(workers, 300, rebalanceEvery = 100))
+        .foreach { eng =>
+          withClue(s"$n tuples, $workers workers, ${eng.getClass.getSimpleName}: ") {
+            closeEnough(failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler), want)
+          }
+        }
+    }
+  }
+
+  test("keys that move many times inside one block stay exact") {
+    // rebalancing every 7 tuples moves keys while their predecessors sit
+    // in the old worker's unflushed block; run also checks nothing is left
+    // parked
+    val tuples = LocalGen.unionStream(20 * BlockSize + 3, nKeys = 30, alpha = 1.5, seed = 30)
+    val want = sequentialReference(tuples, 1000)
+    Seq(2, 4).foreach { workers =>
+      val eng = new SelfAdjustingUnion(workers, windowMs = 1000, rebalanceEvery = 7)
+      closeEnough(failAfter(60.seconds)(eng.run(tuples))(ThreadSignaler), want)
+      assert(eng.rebalances > 0)
+    }
+  }
+
+  test("a dominant key moves at most once") {
+    // two keys at 90:10; loads are cumulative, so a rebalancer that moved
+    // the dominant key whenever its worker was hot would flip it between
+    // the workers at every rebalance
+    val tuples = (0 until 20000).map(i => StreamTuple(0, if (i % 10 == 0) "minor" else "major", i, 1.0))
+    val eng = new SelfAdjustingUnion(2, windowMs = 100, rebalanceEvery = 50)
+    closeEnough(failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler), sequentialReference(tuples, 100))
+    assert(eng.rebalances <= 1, s"${eng.rebalances} rebalances")
   }
 
   test("every tuple handed to another worker still runs in its key's order") {
