@@ -44,7 +44,8 @@ object WindowUnionStream {
     * ts-ascending in a ring buffer, plus their running sum. `run` hands
     * each key's tuples to `handle` one at a time and in ts order, across
     * key handoffs too, so an entry that leaves the frame can never be
-    * needed again and is dropped for good.
+    * needed again and is dropped for good. Not thread-safe: in a run, the
+    * key's gate ([[KeyRun]]'s monitor) orders every access.
     */
   final class KeyState {
     private var tss = new Array[Long](4)
@@ -54,14 +55,18 @@ object WindowUnionStream {
     private var sumWindow = 0.0
 
     /** Entries currently retained. */
-    private[online] def size: Int = synchronized(n)
+    private[online] def size: Int = n
 
     private def at(i: Int): Int = (head + i) & (tss.length - 1)
 
     private def append(ts: Long, v: Double): Unit = {
       if (n == tss.length) {
-        val (t2, v2) = (new Array[Long](n * 2), new Array[Double](n * 2))
-        (0 until n).foreach { i => t2(i) = tss(at(i)); v2(i) = vals(at(i)) }
+        // full ring: head..end, then 0..head-1, unrolled into a ring twice the size
+        val t2 = new Array[Long](n * 2)
+        val v2 = new Array[Double](n * 2)
+        val tail = n - head
+        System.arraycopy(tss, head, t2, 0, tail); System.arraycopy(tss, 0, t2, tail, head)
+        System.arraycopy(vals, head, v2, 0, tail); System.arraycopy(vals, 0, v2, tail, head)
         tss = t2; vals = v2; head = 0
       }
       tss(at(n)) = ts; vals(at(n)) = v; n += 1
@@ -77,7 +82,7 @@ object WindowUnionStream {
     }
 
     /** Subtract-and-evict: O(1) amortized per tuple. */
-    def addAndQuery(ts: Long, v: Double, windowMs: Long): Double = synchronized {
+    def addAndQuery(ts: Long, v: Double, windowMs: Long): Double = {
       append(ts, v)
       sumWindow += v - evictBefore(ts - windowMs)
       sumWindow
@@ -86,7 +91,7 @@ object WindowUnionStream {
     /** The static baseline: same buffer and eviction, but no retained sum,
       * so every tuple pays an O(w) scan of its frame.
       */
-    def rescan(ts: Long, v: Double, windowMs: Long): Double = synchronized {
+    def rescan(ts: Long, v: Double, windowMs: Long): Double = {
       append(ts, v)
       evictBefore(ts - windowMs)
       var s = 0.0
@@ -96,41 +101,63 @@ object WindowUnionStream {
     }
   }
 
-  /** One key's part of a run, built by the pre-pass: its window state,
-    * its sequence gate (the seq of the tuple to run next) and the tuples
-    * that reached a worker before their turn, by seq. Workers touch the
-    * gate and the parked tuples only under this record's monitor.
+  /** One key's part of a run, built by the pre-pass merge: its window
+    * state, its sequence gate (the seq of the tuple to run next) and the
+    * tuples that reached a worker before their turn, by seq. The gate, the
+    * parked tuples and the state are touched only under this record's
+    * monitor.
     */
   private final class KeyRun(val key: String, val id: Int) {
     val state = new KeyState
-    var tuples = 0              // pre-pass: seq of the key's next tuple
-    var lastTs = Long.MinValue  // pre-pass: ts of the key's last tuple
+    var tuples = 0              // merge: the key's tuples in earlier chunks
+    var lastTs = Long.MinValue  // merge: ts of the key's last tuple in earlier chunks
     private var next = 0
     private val parked = new java.util.HashMap[Integer, Integer]()
 
-    /** True if tuple `idx`, the key's `seq`-th, may run now; otherwise
-      * parks it for the worker that runs its predecessor.
+    /** Runs tuple `idx`, the key's `seq`-th, through `step` if the gate is
+      * at `seq`, then every parked successor that this unblocks, in seq
+      * order; otherwise parks it for the worker that runs its predecessor.
       */
-    def admit(idx: Int, seq: Int): Boolean = synchronized {
-      seq == next || { parked.put(seq, idx); false }
-    }
-
-    /** Opens the gate to the next seq; returns that tuple's index if it is
-      * parked (the caller runs it), else -1.
-      */
-    def advance(): Int = synchronized {
-      next += 1
-      val p = if (parked.isEmpty) null else parked.remove(next)
-      if (p == null) -1 else p.intValue()
+    def runOrPark(idx: Int, seq: Int, step: Int => Unit): Unit = synchronized {
+      if (seq != next) parked.put(seq, idx)
+      else {
+        var i = idx
+        while (i >= 0) {
+          step(i)
+          next += 1
+          val p = if (parked.isEmpty) null else parked.remove(next)
+          i = if (p == null) -1 else p.intValue()
+        }
+      }
     }
 
     def parkedCount: Int = synchronized(parked.size)
+  }
+
+  /** A key's tuples within one pre-pass chunk. */
+  private final class ChunkKey(val key: String, val local: Int, val first: Int) {
+    var tuples = 0              // seq of the key's next tuple in the chunk
+    var lastTs = Long.MinValue  // ts of the key's last tuple in the chunk
+    var id = 0                  // merge: the key's global id
+    var seqBase = 0             // merge: the key's tuples in earlier chunks
+  }
+
+  /** The pre-pass over the tuple indices `from until until`: keys in local
+    * first-appearance order, and the index of the chunk's first tuple
+    * whose ts is below its key's previous ts in the chunk (-1 if none),
+    * with that previous ts.
+    */
+  private final class Chunk(val from: Int, val until: Int) {
+    val keys = ArrayBuffer.empty[ChunkKey]
+    var bad = -1
+    var badPrev = 0L
   }
 
   /** Tuple indices per hand-off from the feeding thread to a worker. */
   private[online] final val BlockSize = 512
 
   abstract class ThreadedEngine(nWorkers: Int) {
+    require(nWorkers >= 1, s"nWorkers must be at least 1, got $nWorkers")
 
     /** A router for one run: maps a key id (an index into `keys`) to a
       * worker. Only the thread that calls `run` uses it, once per tuple in
@@ -141,114 +168,185 @@ object WindowUnionStream {
     /** Static hash routing of `key`. */
     protected final def hashed(key: String): Int = math.floorMod(key.hashCode, nWorkers)
 
-    /** Answers `t` from its key's state in the current run. */
-    protected def handle(t: StreamTuple, st: KeyState): Double
+    /** Answers the tuple at `ts` with value `v` from its key's state in the
+      * current run.
+      */
+    protected def handle(ts: Long, v: Double, st: KeyState): Double
 
     /** Run the whole stream; returns per-tuple results in input order.
       *
-      * A pre-pass gives each distinct key one [[KeyRun]] and each tuple its
-      * key id and per-key sequence number. A worker runs a tuple only when
-      * its key's gate is at the tuple's seq; otherwise it parks the tuple
-      * on the key's record (its predecessor is still in another worker's
-      * backlog after a key moved). Whichever worker runs the predecessor
-      * then runs the parked successor, so ordering stays exact with zero
-      * spinning — the §5.2 contract without busy requeueing.
+      * The pre-pass is split into `nWorkers + 1` contiguous chunks of the
+      * stream, one on the calling thread and one on each worker before it
+      * takes any tuple. A chunk gives each tuple a chunk-local key id and
+      * seq, copies its `ts` and `value` into flat columns, and notes its
+      * first ts-order violation. The calling thread then merges the chunks
+      * in order: each distinct key gets one [[KeyRun]], in first-appearance
+      * order over the whole stream, and each chunk key the seq base of the
+      * key's tuples in earlier chunks.
       *
-      * The calling thread routes every tuple, in submission order, and
-      * appends its index to that worker's pending block; a full block of
-      * [[BlockSize]] indices goes on the worker's queue in one hand-off,
-      * and at the end each partial block follows, then an empty block as
-      * the end marker. A tuple whose key moved while its predecessors sat
-      * in the old worker's unflushed block parks like any other. The
-      * queues are unbounded, so a worker that died never blocks the feed.
+      * The calling thread routes every tuple, in submission order, after
+      * rewriting its key id and seq to the global ones, and appends its
+      * index to that worker's pending block; a full block of [[BlockSize]]
+      * indices goes on the worker's queue in one hand-off, and at the end
+      * each partial block follows, then an empty block as the end marker.
+      * Past its own chunk, a worker reads only the columns, never
+      * `tuples`.
+      *
+      * A tuple runs under its key record's monitor, the one gate per
+      * tuple: if the gate is at the tuple's seq the worker runs it and then
+      * every successor parked behind it; otherwise it parks the tuple on
+      * the record (its predecessor is still in another worker's backlog
+      * after a key moved). Ordering stays exact with zero spinning — the
+      * §5.2 contract without busy requeueing. The queues are unbounded, so
+      * a worker that died never blocks the feed.
       *
       * Key records and the router belong to one call, so an engine can
-      * run any number of streams.
+      * run any number of streams, and every worker has ended when `run`
+      * returns or throws.
       *
       * @throws IllegalArgumentException if a key's `ts` goes backwards in
-      *         `tuples`; checked before any worker starts
-      * @throws Throwable the first error a worker hit in `handle`, after
-      *         the other workers drained their queues
+      *         `tuples`, for the first such tuple in submission order;
+      *         rejected before any tuple is handled
+      * @throws Throwable the first error a worker hit in the pre-pass or in
+      *         `handle`, after the other workers drained their queues
       */
     def run(tuples: IndexedSeq[StreamTuple]): Array[Double] = {
-      val results = new Array[Double](tuples.length)
-      // pre-pass: each key's record, each tuple's key id and per-key seq;
-      // submission order must be ts order per key, which is what lets
-      // KeyState evict for good
-      val keyOf = new Array[Int](tuples.length)
-      val seqOf = new Array[Int](tuples.length)
-      val byKey = new java.util.HashMap[String, KeyRun]()
-      val runsBuf = ArrayBuffer.empty[KeyRun]
-      tuples.indices.foreach { i =>
-        val t = tuples(i)
-        var r = byKey.get(t.key)
-        if (r == null) { r = new KeyRun(t.key, runsBuf.length); byKey.put(t.key, r); runsBuf += r }
-        require(t.ts >= r.lastTs,
-          s"key ${t.key}: ts ${t.ts} comes after ts ${r.lastTs}; run needs each key's tuples in ts order")
-        keyOf(i) = r.id
-        seqOf(i) = r.tuples
-        r.tuples += 1
-        r.lastTs = t.ts
-      }
-      val runs = runsBuf.toArray
-      val route = router(runs.map(_.key).toIndexedSeq)
-      val queues = Array.fill(nWorkers)(new LinkedBlockingQueue[Array[Int]]())
-      val done = new CountDownLatch(nWorkers)
-      val failure = new AtomicReference[Throwable]()
-
-      val workers = (0 until nWorkers).map { w =>
-        val th = new Thread(() => {
-          try {
-            var block = queues(w).take()
-            while (block.length > 0) {
-              var j = 0
-              while (j < block.length) {
-                val idx = block(j)
-                val r = runs(keyOf(idx))
-                // run the tuple and every parked successor it unblocks
-                var next = if (r.admit(idx, seqOf(idx))) idx else -1
-                while (next >= 0) {
-                  results(next) = handle(tuples(next), r.state)
-                  next = r.advance()
-                }
-                j += 1
-              }
-              block = queues(w).take()
-            }
-          } catch {
-            // this worker stops; the others drain their queues (their
-            // tuples never wait on it) and run rethrows once all are done
-            case e: Throwable => failure.compareAndSet(null, e)
-          } finally done.countDown()
-        }, s"union-worker-$w")
-        th.setDaemon(true); th.start(); th
-      }
+      val n = tuples.length
+      val results = new Array[Double](n)
+      // per tuple: key id and per-key seq (chunk-local until the feed
+      // rewrites them), and its ts and value
+      val keyOf = new Array[Int](n)
+      val seqOf = new Array[Int](n)
+      val tsCol = new Array[Long](n)
+      val valCol = new Array[Double](n)
       // plain arrays and loops: a ClassTag-built array of arrays would
       // leave an entry in Scala's ClassTag cache behind every run
-      val pending = new Array[Array[Int]](nWorkers)
-      val filled = new Array[Int](nWorkers)
-      var w = 0
-      while (w < nWorkers) { pending(w) = new Array[Int](BlockSize); w += 1 }
-      var i = 0
-      while (i < tuples.length) {
-        w = route(keyOf(i))
-        pending(w)(filled(w)) = i
-        filled(w) += 1
-        if (filled(w) == BlockSize) {
-          queues(w).put(pending(w))
-          pending(w) = new Array[Int](BlockSize)
-          filled(w) = 0
+      val chunks = new Array[Chunk](nWorkers + 1)
+      var c = 0
+      while (c < chunks.length) {
+        chunks(c) = new Chunk((n.toLong * c / chunks.length).toInt, (n.toLong * (c + 1) / chunks.length).toInt)
+        c += 1
+      }
+      // submission order must be ts order per key, which is what lets
+      // KeyState evict for good
+      def prepass(ch: Chunk): Unit = {
+        val local = new java.util.HashMap[String, ChunkKey]()
+        var i = ch.from
+        while (i < ch.until) {
+          val t = tuples(i)
+          var k = local.get(t.key)
+          if (k == null) { k = new ChunkKey(t.key, ch.keys.length, i); local.put(t.key, k); ch.keys += k }
+          if (t.ts < k.lastTs && ch.bad < 0) { ch.bad = i; ch.badPrev = k.lastTs }
+          keyOf(i) = k.local
+          seqOf(i) = k.tuples
+          k.tuples += 1
+          k.lastTs = t.ts
+          tsCol(i) = t.ts
+          valCol(i) = t.value
+          i += 1
         }
-        i += 1
       }
-      w = 0
-      while (w < nWorkers) {
-        if (filled(w) > 0) queues(w).put(java.util.Arrays.copyOf(pending(w), filled(w)))
-        queues(w).put(new Array[Int](0))
-        w += 1
+      var runs: Array[KeyRun] = null // set by the merge, before any block is handed over
+      val chunked = new CountDownLatch(nWorkers)
+      val queues = new Array[LinkedBlockingQueue[Array[Int]]](nWorkers)
+      val workers = new Array[Thread](nWorkers)
+      val failure = new AtomicReference[Throwable]()
+      var w = 0
+      try {
+        while (w < nWorkers) {
+          val queue = new LinkedBlockingQueue[Array[Int]]()
+          val ch = chunks(w + 1)
+          queues(w) = queue
+          workers(w) = new Thread(() => {
+            try {
+              try prepass(ch) finally chunked.countDown()
+              var block = queue.take()
+              val rs = runs
+              val step: Int => Unit = i => results(i) = handle(tsCol(i), valCol(i), rs(keyOf(i)).state)
+              while (block.length > 0) {
+                var j = 0
+                while (j < block.length) {
+                  val idx = block(j)
+                  rs(keyOf(idx)).runOrPark(idx, seqOf(idx), step)
+                  j += 1
+                }
+                block = queue.take()
+              }
+            } catch {
+              // this worker stops; the others drain their queues (their
+              // tuples never wait on it) and run rethrows once all are done
+              case e: Throwable => failure.compareAndSet(null, e)
+            }
+          }, s"union-worker-$w")
+          workers(w).setDaemon(true)
+          workers(w).start()
+          w += 1
+        }
+        prepass(chunks(0))
+        chunked.await()
+        val err = failure.get()
+        if (err != null) throw err
+        // merge: global key records in first-appearance order, each chunk
+        // key's global id and seq base, and the ts check across chunks
+        val byKey = new java.util.HashMap[String, KeyRun]()
+        val runsBuf = ArrayBuffer.empty[KeyRun]
+        c = 0
+        while (c < chunks.length) {
+          val ch = chunks(c)
+          var bad = ch.bad
+          var badPrev = ch.badPrev
+          ch.keys.foreach { k =>
+            var r = byKey.get(k.key)
+            if (r == null) { r = new KeyRun(k.key, runsBuf.length); byKey.put(k.key, r); runsBuf += r }
+            if (tsCol(k.first) < r.lastTs && (bad < 0 || k.first < bad)) { bad = k.first; badPrev = r.lastTs }
+            k.id = r.id
+            k.seqBase = r.tuples
+            r.tuples += k.tuples
+            r.lastTs = k.lastTs
+          }
+          require(bad < 0,
+            s"key ${tuples(bad).key}: ts ${tsCol(bad)} comes after ts $badPrev; run needs each key's tuples in ts order")
+          c += 1
+        }
+        runs = runsBuf.toArray
+        val route = router(runs.map(_.key).toIndexedSeq)
+
+        val pending = new Array[Array[Int]](nWorkers)
+        val filled = new Array[Int](nWorkers)
+        w = 0
+        while (w < nWorkers) { pending(w) = new Array[Int](BlockSize); w += 1 }
+        c = 0
+        while (c < chunks.length) {
+          val ch = chunks(c)
+          var i = ch.from
+          while (i < ch.until) {
+            val k = ch.keys(keyOf(i))
+            keyOf(i) = k.id
+            seqOf(i) += k.seqBase
+            w = route(k.id)
+            pending(w)(filled(w)) = i
+            filled(w) += 1
+            if (filled(w) == BlockSize) {
+              queues(w).put(pending(w))
+              pending(w) = new Array[Int](BlockSize)
+              filled(w) = 0
+            }
+            i += 1
+          }
+          c += 1
+        }
+        w = 0
+        while (w < nWorkers) {
+          if (filled(w) > 0) queues(w).put(java.util.Arrays.copyOf(pending(w), filled(w)))
+          w += 1
+        }
+      } finally {
+        // the end markers also stop the workers when the run failed early
+        w = 0
+        while (w < nWorkers && workers(w) != null) { queues(w).put(new Array[Int](0)); w += 1 }
+        w = 0
+        while (w < nWorkers && workers(w) != null) { workers(w).join(); w += 1 }
       }
-      done.await()
-      workers.foreach(_.join())
       val err = failure.get()
       if (err != null) throw err
       // a successor runs inside its predecessor's chain, so once every
@@ -262,18 +360,20 @@ object WindowUnionStream {
   /** Flink-style baseline: static hash routing + O(w) rescan per tuple. */
   final class StaticUnion(nWorkers: Int, windowMs: Long) extends ThreadedEngine(nWorkers) {
     protected def router(keys: IndexedSeq[String]): Int => Int = k => hashed(keys(k))
-    protected def handle(t: StreamTuple, st: KeyState): Double = st.rescan(t.ts, t.value, windowMs)
+    protected def handle(ts: Long, v: Double, st: KeyState): Double = st.rescan(ts, v, windowMs)
   }
 
   /** The paper's engine: dynamic key->worker routing + subtract-and-evict. */
   final class SelfAdjustingUnion(nWorkers: Int, windowMs: Long,
                                  rebalanceEvery: Int = 20000) extends ThreadedEngine(nWorkers) {
+    require(rebalanceEvery >= 1, s"rebalanceEvery must be at least 1, got $rebalanceEvery")
+
     /** Rebalances that moved keys, over every run so far. */
     var rebalances: Int = 0
 
     protected def router(keys: IndexedSeq[String]): Int => Int = new Balancer(keys)
 
-    protected def handle(t: StreamTuple, st: KeyState): Double = st.addAndQuery(t.ts, t.value, windowMs)
+    protected def handle(ts: Long, v: Double, st: KeyState): Double = st.addAndQuery(ts, v, windowMs)
 
     /** One run's routing table and per-key load, counted as tuples are
       * submitted; every `rebalanceEvery` submitted tuples it moves the

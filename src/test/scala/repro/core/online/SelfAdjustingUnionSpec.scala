@@ -94,7 +94,7 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
     closeEnough(new StaticUnion(8, 300).run(tuples), sequentialReference(tuples, 300))
   }
 
-  test("a key whose ts goes backwards is rejected before any worker starts") {
+  test("a key whose ts goes backwards is rejected before any tuple is handled") {
     val ts = IndexedSeq(
       StreamTuple(0, "a", 10, 1.0), StreamTuple(1, "b", 5, 2.0), StreamTuple(2, "a", 7, 4.0))
     Seq(new SelfAdjustingUnion(2, 100, rebalanceEvery = Int.MaxValue), new StaticUnion(2, 100))
@@ -132,11 +132,11 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
     val eng = new ThreadedEngine(3) {
       protected def router(keys: IndexedSeq[String]): Int => Int =
         k => { routed.countDown(); hashed(keys(k)) }
-      protected def handle(t: StreamTuple, st: KeyState): Double =
-        if (t eq bad) {
+      protected def handle(ts: Long, v: Double, st: KeyState): Double =
+        if (ts == bad.ts) { // ts is unique in the stream
           routed.await(10, java.util.concurrent.TimeUnit.SECONDS)
           throw new IllegalStateException("boom")
-        } else st.addAndQuery(t.ts, t.value, 500)
+        } else st.addAndQuery(ts, v, 500)
     }
     val e = intercept[IllegalStateException](failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler))
     assert(e.getMessage == "boom")
@@ -189,7 +189,7 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
         val turn = new Array[Int](keys.length)
         k => { val w = turn(k); turn(k) = (w + 1) % 4; w }
       }
-      protected def handle(t: StreamTuple, st: KeyState): Double = st.addAndQuery(t.ts, t.value, 2000)
+      protected def handle(ts: Long, v: Double, st: KeyState): Double = st.addAndQuery(ts, v, 2000)
     }
     closeEnough(failAfter(60.seconds)(eng.run(tuples))(ThreadSignaler), sequentialReference(tuples, 2000))
   }
@@ -202,6 +202,81 @@ class SelfAdjustingUnionSpec extends AnyFunSuite with TimeLimits {
     (1 to 2).foreach { _ =>
       closeEnough(failAfter(60.seconds)(selfAdj.run(tuples))(ThreadSignaler), want)
       closeEnough(failAfter(60.seconds)(static.run(tuples))(ThreadSignaler), want)
+    }
+  }
+
+  /** The first tuple index of each pre-pass chunk after the first, as
+    * `run` splits `n` tuples over `workers` workers and the caller.
+    */
+  private def chunkStarts(n: Int, workers: Int): Seq[Int] =
+    (1 to workers).map(c => (n.toLong * c / (workers + 1)).toInt)
+
+  test("the first ts-order violation in submission order is reported, wherever the chunks split") {
+    // keys cycle over k0..k4 at ts 10 * i; a violation at j gives tuple j
+    // a ts just below that of j - 5, its key's previous tuple
+    val n = 100
+    for (workers <- Seq(1, 2, 4)) {
+      val starts = chunkStarts(n, workers)
+      val cases = Seq(
+        "at a chunk boundary" -> Seq(starts.head),
+        "at the last chunk boundary" -> Seq(starts.last),
+        "inside the last chunk" -> Seq(n - 3),
+        "in the first and the last chunk" -> Seq(10, n - 3),
+        "a boundary one before a local one" -> Seq(starts.head + 4, starts.head + 6),
+        "a local one before a later boundary" -> Seq(starts.head + 6, starts.last))
+      for ((name, bad) <- cases) {
+        val tuples = (0 until n).map { i =>
+          StreamTuple(0, s"k${i % 5}", if (bad.contains(i)) 10L * (i - 5) - 1 else 10L * i, 1.0)
+        }
+        val first = bad.min
+        val want = s"requirement failed: key k${first % 5}: ts ${10L * (first - 5) - 1} comes after " +
+          s"ts ${10L * (first - 5)}; run needs each key's tuples in ts order"
+        Seq(new SelfAdjustingUnion(workers, 100, rebalanceEvery = 7), new StaticUnion(workers, 100)).foreach { eng =>
+          withClue(s"$name, $workers workers, ${eng.getClass.getSimpleName}: ") {
+            val e = intercept[IllegalArgumentException](failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler))
+            assert(e.getMessage == want)
+          }
+        }
+      }
+    }
+  }
+
+  test("streams shorter than the chunk count agree with the reference") {
+    for (n <- 0 to 5; workers <- Seq(1, 2, 4); keys <- Seq(1, 2)) {
+      val tuples = (0 until n).map(i => StreamTuple(i % 3, s"k${i % keys}", i.toLong, i + 1.0))
+      val want = sequentialReference(tuples, 3)
+      Seq(new SelfAdjustingUnion(workers, 3, rebalanceEvery = 1), new StaticUnion(workers, 3)).foreach { eng =>
+        withClue(s"$n tuples, $keys keys, $workers workers, ${eng.getClass.getSimpleName}: ") {
+          closeEnough(failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler), want)
+        }
+      }
+    }
+  }
+
+  test("key ids follow first appearance over the whole stream") {
+    // 400 keys over 3000 tuples: many keys first appear in later chunks
+    val tuples = LocalGen.unionStream(3000, nKeys = 400, alpha = 0.8, seed = 31)
+    val want = tuples.map(_.key).distinct
+    assert(tuples.indexWhere(_.key == want.last) >= tuples.size / 2)
+    for (workers <- Seq(1, 2, 4)) {
+      var seen: IndexedSeq[String] = null
+      val eng = new ThreadedEngine(workers) {
+        protected def router(keys: IndexedSeq[String]): Int => Int = { seen = keys; k => hashed(keys(k)) }
+        protected def handle(ts: Long, v: Double, st: KeyState): Double = st.addAndQuery(ts, v, 500)
+      }
+      closeEnough(failAfter(30.seconds)(eng.run(tuples))(ThreadSignaler), sequentialReference(tuples, 500))
+      assert(seen == want, s"$workers workers")
+    }
+  }
+
+  test("engines reject a worker count or rebalance interval below one") {
+    Seq(0, -1).foreach { bad =>
+      val w = intercept[IllegalArgumentException](new StaticUnion(bad, 100))
+      assert(w.getMessage.contains(s"nWorkers must be at least 1, got $bad"), w.getMessage)
+      val s = intercept[IllegalArgumentException](new SelfAdjustingUnion(bad, 100))
+      assert(s.getMessage.contains(s"nWorkers must be at least 1, got $bad"), s.getMessage)
+      val r = intercept[IllegalArgumentException](new SelfAdjustingUnion(2, 100, rebalanceEvery = bad))
+      assert(r.getMessage.contains(s"rebalanceEvery must be at least 1, got $bad"), r.getMessage)
     }
   }
 }
