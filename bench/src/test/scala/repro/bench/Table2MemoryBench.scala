@@ -20,4 +20,11 @@ class Table2MemoryBench extends AnyFunSuite {
     // (4) full-scale reduction lands near the paper's 45.66%
     assert(reds.last > 30 && reds.last < 60, s"185M reduction ${reds.last}")
   }
+
+  test("Table 2: a live online table holds the §7.1 bytes the model counts") {
+    val r = Table2Memory.live(20000)
+    print(Table2Memory.renderLive(r))
+    assert(r.tuples == 20000)
+    assert(r.encodedBytes == r.modelRowBytes)
+  }
 }

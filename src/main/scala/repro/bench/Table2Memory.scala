@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.LocalGen
+import repro.core.online.OnlineTable
 import repro.redis.RedisMemModel
 import repro.storage.{FieldType, MemoryModel, RowCodec}
 
@@ -14,6 +15,10 @@ import repro.storage.{FieldType, MemoryModel, RowCodec}
   *  - Trino+Redis: one sorted set per ip holding JSON-encoded rows (the
   *    Trino Redis connector's encoding), costed by the jemalloc-accurate
   *    Redis model.
+  *
+  * [[live]] loads the click sample into an [[OnlineTable]] keyed by `ip`
+  * and reads the bytes the store holds, next to the model's figures for
+  * the same rows and keys.
   *
   * Unique-key counts follow the TalkingData regime: ips drawn zipf(1.05)
   * from a 278k universe; for n >= 10M rows the expected-unique closed form
@@ -38,6 +43,9 @@ object Table2Memory {
   val clickSchema: IndexedSeq[FieldType] =
     IndexedSeq(StringT, IntT, IntT, IntT, IntT, TimestampT, BoolT)
 
+  private def values(c: LocalGen.Click): IndexedSeq[Any] =
+    IndexedSeq(c.ip, c.app, c.device, c.os, c.channel, c.clickTime, c.isAttributed)
+
   private def json(c: LocalGen.Click): String =
     s"""{"ip":"${c.ip}","app":${c.app},"device":${c.device},"os":${c.os},""" +
       s""""channel":${c.channel},"click_time":${c.clickTime},"is_attributed":${c.isAttributed}}"""
@@ -45,8 +53,7 @@ object Table2Memory {
   def run(sampleSize: Int = 100000, nIps: Int = 278000, alpha: Double = 1.05): Seq[MemRow] = {
     val codec = new RowCodec(clickSchema)
     val sample = LocalGen.clicks(sampleSize, nIps, alpha)
-    val avgRowBytes = sample.map(c => codec.sizeOf(IndexedSeq(
-      c.ip, c.app, c.device, c.os, c.channel, c.clickTime, c.isAttributed))).sum / sampleSize
+    val avgRowBytes = sample.map(c => codec.sizeOf(values(c))).sum / sampleSize
     val avgJsonLen = sample.map(json(_).length).sum / sampleSize
     val avgKeyLen = sample.map(_.ip.length).sum / sampleSize
 
@@ -60,6 +67,34 @@ object Table2Memory {
       MemRow(n, redis, omldb)
     }
   }
+
+  /** A live store's row bytes beside the model: `encodedBytes` is what the
+    * [[OnlineTable]] holds, `modelRowBytes` the §7.1 size of the same rows
+    * by `RowCodec.sizeOf` over [[clickSchema]], and `modelTableBytes` the
+    * §8.1 table model (rows plus key index and skiplist nodes) for them.
+    */
+  final case class LiveRow(tuples: Long, keys: Long, encodedBytes: Long, modelRowBytes: Long,
+                           modelTableBytes: Long)
+
+  def live(sampleSize: Int = 100000, nIps: Int = 278000, alpha: Double = 1.05): LiveRow = {
+    val codec = new RowCodec(clickSchema)
+    val sample = LocalGen.clicks(sampleSize, nIps, alpha)
+    val table = new OnlineTable("ip", "click_time")
+    sample.foreach { c =>
+      table.put(Map("ip" -> c.ip, "app" -> c.app, "device" -> c.device, "os" -> c.os, "channel" -> c.channel,
+        "click_time" -> c.clickTime, "is_attributed" -> c.isAttributed))
+    }
+    val modelRowBytes = sample.map(c => codec.sizeOf(values(c)).toLong).sum
+    val model = MemoryModel.tableBytes(MemoryModel.TableSpec(
+      MemoryModel.Absolute, nRows = sampleSize, avgRowLen = (modelRowBytes / sampleSize).toInt,
+      indexes = Seq(MemoryModel.IndexSpec(table.keys, sample.map(_.ip.length).sum / sampleSize))))
+    LiveRow(table.rows, table.keys, table.encodedBytes, modelRowBytes, model)
+  }
+
+  def renderLive(r: LiveRow): String =
+    f"Live OnlineTable, ${r.tuples}%d clicks over ${r.keys}%d ips: ${r.encodedBytes}%d encoded row bytes " +
+      f"(${r.encodedBytes.toDouble / r.tuples}%.2f B/row); RowCodec model ${r.modelRowBytes}%d B; " +
+      f"table model (8.1) ${r.modelTableBytes}%d B\n"
 
   def render(rows: Seq[MemRow]): String = {
     val sb = new StringBuilder

@@ -30,34 +30,41 @@ object AggCore {
     def result: Long = n
   }
 
-  final class SumState extends State[java.lang.Double, java.lang.Double] {
+  /** A state over a nullable numeric input: a null is skipped, and a
+    * present value goes to `add` unboxed (the online engine calls `add`
+    * directly).
+    */
+  trait NumState[O] extends State[java.lang.Double, O] {
+    def add(v: Double): Unit
+    final def update(in: java.lang.Double): Unit = if (in != null) add(in)
+  }
+
+  final class SumState extends NumState[java.lang.Double] {
     var s = 0.0; var any = false
-    def update(in: java.lang.Double): Unit = if (in != null) { s += in; any = true }
+    def add(v: Double): Unit = { s += v; any = true }
     def merge(o: SumState): Unit = { s += o.s; any ||= o.any }
     def result: java.lang.Double = if (any) s else null
   }
 
-  final class AvgState extends State[java.lang.Double, java.lang.Double] {
+  final class AvgState extends NumState[java.lang.Double] {
     var s = 0.0; var n = 0L
-    def update(in: java.lang.Double): Unit = if (in != null) { s += in; n += 1 }
+    def add(v: Double): Unit = { s += v; n += 1 }
     def merge(o: AvgState): Unit = { s += o.s; n += o.n }
     def result: java.lang.Double = if (n == 0) null else s / n
   }
 
-  final class MinState extends State[java.lang.Double, java.lang.Double] {
-    var m: java.lang.Double = null
-    def update(in: java.lang.Double): Unit =
-      if (in != null && (m == null || in < m)) m = in
-    def merge(o: MinState): Unit = if (o.m != null) update(o.m)
-    def result: java.lang.Double = m
+  final class MinState extends NumState[java.lang.Double] {
+    var m = 0.0; var any = false
+    def add(v: Double): Unit = if (!any || v < m) { m = v; any = true }
+    def merge(o: MinState): Unit = if (o.any) add(o.m)
+    def result: java.lang.Double = if (any) m else null
   }
 
-  final class MaxState extends State[java.lang.Double, java.lang.Double] {
-    var m: java.lang.Double = null
-    def update(in: java.lang.Double): Unit =
-      if (in != null && (m == null || in > m)) m = in
-    def merge(o: MaxState): Unit = if (o.m != null) update(o.m)
-    def result: java.lang.Double = m
+  final class MaxState extends NumState[java.lang.Double] {
+    var m = 0.0; var any = false
+    def add(v: Double): Unit = if (!any || v > m) { m = v; any = true }
+    def merge(o: MaxState): Unit = if (o.any) add(o.m)
+    def result: java.lang.Double = if (any) m else null
   }
 
   final class DistinctCountState extends State[String, Long] {
@@ -112,8 +119,10 @@ object AggCore {
     var acc = new java.util.TreeMap[String, CateSum]
     def update(in: (java.lang.Double, java.lang.Boolean, String)): Unit = {
       val (v, cond, cate) = in
-      if (v != null && cond != null && cond && cate != null) sumOf(cate).add(v, 1L)
+      if (v != null && cond != null && cond && cate != null) add(v, cate)
     }
+    /** One row whose value is present and whose condition holds. */
+    def add(v: Double, cate: String): Unit = sumOf(cate).add(v, 1L)
     def merge(o: AvgCateWhereState): Unit = o.acc.forEach((k, c) => sumOf(k).add(c.s, c.n))
     private def sumOf(cate: String): CateSum = acc.computeIfAbsent(cate, _ => new CateSum)
     def result: String = {
@@ -136,12 +145,11 @@ object AggCore {
     * subsequent trough (§4.1 (3)). ORDER-SENSITIVE: inputs must arrive
     * oldest-to-newest. 0.0 when the series never declines.
     */
-  final class DrawdownState extends State[java.lang.Double, java.lang.Double] {
+  final class DrawdownState extends NumState[java.lang.Double] {
     var peak: Double = Double.NaN
     var maxDd: Double = 0.0
     var any = false
-    def update(in: java.lang.Double): Unit = if (in != null) {
-      val v = in.doubleValue()
+    def add(v: Double): Unit = {
       if (!any) { peak = v; any = true }
       else {
         if (v > peak) peak = v
@@ -156,10 +164,10 @@ object AggCore {
     * (1-alpha)^i (pandas `ewm(alpha).mean()` of the last element).
     * ORDER-SENSITIVE: inputs oldest-to-newest.
     */
-  final class EwAvgState(var alpha: Double) extends State[java.lang.Double, java.lang.Double] {
+  final class EwAvgState(var alpha: Double) extends NumState[java.lang.Double] {
     var num = 0.0; var den = 0.0; var any = false
-    def update(in: java.lang.Double): Unit = if (in != null) {
-      num = in + (1 - alpha) * num
+    def add(v: Double): Unit = {
+      num = v + (1 - alpha) * num
       den = 1 + (1 - alpha) * den
       any = true
     }

@@ -118,16 +118,18 @@ final class PreAggTable(val levels: Seq[Long]) {
 
 object PreAggTable {
 
-  /** One key's buckets at one level, sorted by bucket start: `longs` holds
-    * (start, rows, cnt) and `doubles` holds (sum, min, max) per bucket.
-    * Guarded by the key's lock.
+  /** One key's buckets at one level, sorted by bucket start, in one array
+    * of six longs per bucket: start, rows, cnt, and the bits of sum, min
+    * and max (one array, so a bucket costs one allocation as the level
+    * grows). Guarded by the key's lock.
     */
   private final class Level {
     var size = 0
-    private var longs = new Array[Long](3 * 2)
-    private var doubles = new Array[Double](3 * 2)
+    private var buckets = new Array[Long](6 * 2)
 
-    private def start(i: Int): Long = longs(3 * i)
+    private def start(i: Int): Long = buckets(6 * i)
+    private def dbl(j: Int): Double = java.lang.Double.longBitsToDouble(buckets(j))
+    private def setDbl(j: Int, v: Double): Unit = buckets(j) = java.lang.Double.doubleToRawLongBits(v)
 
     /** First bucket index with start >= `b` (size when there is none). */
     private def lowerBound(b: Long): Int = {
@@ -151,26 +153,23 @@ object PreAggTable {
           val j = lowerBound(b)
           if (start(j) == b) j else open(j, b)
         }
-      longs(3 * i + 1) += 1
+      val o = 6 * i
+      buckets(o + 1) += 1
       if (!isNull) {
-        longs(3 * i + 2) += 1
-        doubles(3 * i) += v
-        if (v < doubles(3 * i + 1)) doubles(3 * i + 1) = v
-        if (v > doubles(3 * i + 2)) doubles(3 * i + 2) = v
+        buckets(o + 2) += 1
+        setDbl(o + 3, dbl(o + 3) + v)
+        if (v < dbl(o + 4)) setDbl(o + 4, v)
+        if (v > dbl(o + 5)) setDbl(o + 5, v)
       }
     }
 
     /** Inserts an empty bucket `b` at index `i`; returns `i`. */
     private def open(i: Int, b: Long): Int = {
-      if (3 * size == longs.length) {
-        longs = java.util.Arrays.copyOf(longs, 2 * longs.length)
-        doubles = java.util.Arrays.copyOf(doubles, 2 * doubles.length)
-      }
-      System.arraycopy(longs, 3 * i, longs, 3 * (i + 1), 3 * (size - i))
-      System.arraycopy(doubles, 3 * i, doubles, 3 * (i + 1), 3 * (size - i))
-      longs(3 * i) = b; longs(3 * i + 1) = 0; longs(3 * i + 2) = 0
-      doubles(3 * i) = 0.0; doubles(3 * i + 1) = Double.PositiveInfinity
-      doubles(3 * i + 2) = Double.NegativeInfinity
+      if (6 * size == buckets.length) buckets = java.util.Arrays.copyOf(buckets, 2 * buckets.length)
+      System.arraycopy(buckets, 6 * i, buckets, 6 * (i + 1), 6 * (size - i))
+      val o = 6 * i
+      buckets(o) = b; buckets(o + 1) = 0; buckets(o + 2) = 0
+      setDbl(o + 3, 0.0); setDbl(o + 4, Double.PositiveInfinity); setDbl(o + 5, Double.NegativeInfinity)
       size += 1
       i
     }
@@ -182,11 +181,12 @@ object PreAggTable {
       var i = lowerBound(from)
       val i0 = i
       while (i < size && start(i) < until) {
-        acc.rows += longs(3 * i + 1)
-        acc.cnt += longs(3 * i + 2)
-        acc.sum += doubles(3 * i)
-        if (doubles(3 * i + 1) < acc.min) acc.min = doubles(3 * i + 1)
-        if (doubles(3 * i + 2) > acc.max) acc.max = doubles(3 * i + 2)
+        val o = 6 * i
+        acc.rows += buckets(o + 1)
+        acc.cnt += buckets(o + 2)
+        acc.sum += dbl(o + 3)
+        if (dbl(o + 4) < acc.min) acc.min = dbl(o + 4)
+        if (dbl(o + 5) > acc.max) acc.max = dbl(o + 5)
         i += 1
       }
       i - i0

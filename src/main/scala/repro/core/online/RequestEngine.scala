@@ -2,34 +2,7 @@ package repro.core.online
 
 import repro.core._
 import repro.core.functions.AggCore
-import repro.storage.{TimeList, TimeSeriesStore, TsEntry}
-
-/** An online table: the two-layer store holding decoded rows (column
-  * name -> value) keyed by the index column and ordered by ts. This is
-  * the tablet-server memtable of §7.2 wearing a test-friendly payload
-  * type (production payloads are RowCodec bytes; the codec is exercised
-  * by its own suite and the memory benches).
-  */
-final class OnlineTable(val keyCol: String, val tsCol: String) {
-  import RequestEngine.num
-
-  val store = new TimeSeriesStore[String, Map[String, Any]]
-
-  /** The row's key and ts as ingest coerces them. */
-  def keyOf(row: Map[String, Any]): String = String.valueOf(row(keyCol))
-  def tsOf(row: Map[String, Any]): Long    = num(row(tsCol)).toLong
-
-  def put(row: Map[String, Any]): Unit = store.put(keyOf(row), tsOf(row), row)
-
-  /** The key's rows, newest first, or null when the key has none. */
-  def series(key: String): TimeList[Map[String, Any]] = store.series(key)
-
-  def scan(key: String, lo: Long, hi: Long): Iterator[(Long, Map[String, Any])] =
-    store.scan(key, lo, hi).map(e => (e.ts, e.payload))
-
-  def latest(key: String, atOrBefore: Long): Option[(Long, Map[String, Any])] =
-    store.latest(key, atOrBefore).map(e => (e.ts, e.payload))
-}
+import repro.storage.{TimeList, TsEntry}
 
 /** Online Request Mode executor (§3.2 (3)): each request tuple is
   * *virtually inserted* into the primary table, the deployed
@@ -44,6 +17,12 @@ final class OnlineTable(val keyCol: String, val tsCol: String) {
   * per `(window, value column)`, one [[PreAggTable]] merge serving that
   * window's count/sum/avg/min/max — the §5.1 optimization, whose raw
   * edges come from the same resolved time list.
+  *
+  * Stored rows are read as §7.1 bytes: every column the plan reads is
+  * resolved to an [[OnlineTable.Column]], which gives its ordinal and type
+  * per layout version, and a window decodes each of its input columns once
+  * per frame row, whatever number of features read it. `insert` and
+  * `request` take and give maps; they are the encode/decode boundary.
   *
   * Frame order, which the order-sensitive functions see: ascending ts; at
   * equal ts, primary rows before union rows (unions in listed order);
@@ -60,22 +39,31 @@ final class RequestEngine(
   private val primary = tables(spec.primary)
 
   /** Ingest a data tuple into a table (and its pre-aggregators). */
-  def insert(table: String, row: Map[String, Any]): Unit = {
-    val t   = tables(table)
-    val key = t.keyOf(row)
-    val ts  = t.tsOf(row)
-    t.store.put(key, ts, row)
-    if (table == spec.primary) preAgg.foreach { case ((_, valCol), pa) =>
-      val v = row.getOrElse(valCol, null)
-      if (v == null) pa.insertNull(key, ts) else pa.insert(key, ts, num(v))
+  def insert(table: String, row: Map[String, Any]): Unit =
+    tables(table).put(table, row, if (table == spec.primary) feedPreAggs else null)
+
+  /** Feeds a stored primary row's value column to each pre-aggregation
+    * (null when there are none).
+    */
+  private val feedPreAggs: OnlineTable.Stored =
+    if (preAgg.isEmpty) null
+    else {
+      val (cols, pas) = preAgg.toArray.map { case ((_, c), pa) => (primary.column(c), pa) }.unzip
+      (key, ts, row) => {
+        var i = 0
+        while (i < pas.length) {
+          val f = cols(i).field(row)
+          if (f == null || f.isNull(row)) pas(i).insertNull(key, ts) else pas(i).insert(key, ts, f.double(row))
+          i += 1
+        }
+      }
     }
-  }
 
   /** Serve one request tuple: virtual insert + feature computation. The
     * tuple is NOT persisted (mirroring OpenMLDB request mode).
     */
   def request(req: Map[String, Any]): Map[String, Any] = {
-    val series = new Array[TimeList[Row]](readTables.length)
+    val series = new Array[TimeList[Array[Byte]]](readTables.length)
     var i = 0
     while (i < series.length) {
       series(i) = readTables(i).series(String.valueOf(req(readCols(i))))
@@ -89,8 +77,8 @@ final class RequestEngine(
       joinPlans.foreach { j =>
         val s   = series(j.read)
         val hit = if (s == null) None else s.latest(ts)
-        j.valCols.indices.foreach { c =>
-          out += j.outNames(c) -> hit.map(_.payload.getOrElse(j.valCols(c), null)).orNull
+        j.cols.indices.foreach { c =>
+          out += j.outNames(c) -> hit.map(e => j.cols(c).value(e.payload)).orNull
         }
       }
     }
@@ -108,10 +96,13 @@ final class RequestEngine(
     if (i >= 0) i else { reads += ((table, keyCol)); reads.length - 1 }
   }
 
-  /** A pre-aggregation serving a window: its value column and the
-    * features derived from its merged partial.
+  /** A pre-aggregation serving a window: its value column (by name in the
+    * request, by handle in the primary table's rows) and the features
+    * derived from its merged partial.
     */
-  private final class Served(val valCol: String, val pa: PreAggTable, val features: Seq[Feature])
+  private final class Served(val valCol: String, val pa: PreAggTable, val features: Seq[Feature]) {
+    val col: OnlineTable.Column = primary.column(valCol)
+  }
 
   /** The §5.1 binding rule: count/sum/avg/min/max over a non-union window
     * with an aggregator for the value column. Count can ride on any
@@ -129,10 +120,12 @@ final class RequestEngine(
     }
 
   /** One window's features: `served` from pre-aggregations, `folds` over
-    * the frame merged from `sources` (read slots: primary, then unions).
+    * the frame merged from `sources` (read slots: primary, then unions),
+    * fed from `inputs`, the distinct columns the folds read.
     */
-  private final class WindowPlan(w: WindowDef, sources: Array[Int], served: Seq[Served], folds: Array[Fold]) {
-    def compute(req: Row, series: Array[TimeList[Row]], out: OutBuilder): Unit = {
+  private final class WindowPlan(w: WindowDef, sources: Array[Int], served: Seq[Served],
+                                 inputs: Array[Input], folds: Array[Fold]) {
+    def compute(req: Row, series: Array[TimeList[Array[Byte]]], out: OutBuilder): Unit = {
       val t  = num(req(w.tsCol)).toLong
       val lo = t - w.rangeMs
       if (served.nonEmpty) {
@@ -151,8 +144,9 @@ final class RequestEngine(
       * takes the oldest remaining tie run (lowest source on equal ts) and
       * feeds it forward, which keeps the time list's tie order.
       */
-    private def foldFrame(req: Row, series: Array[TimeList[Row]], lo: Long, t: Long, out: OutBuilder): Unit = {
-      var buf  = new Array[TsEntry[Row]](16)
+    private def foldFrame(req: Row, series: Array[TimeList[Array[Byte]]], lo: Long, t: Long,
+                          out: OutBuilder): Unit = {
+      var buf  = new Array[TsEntry[Array[Byte]]](16)
       var n    = 0
       val from = new Array[Int](sources.length)
       val end  = new Array[Int](sources.length)
@@ -170,11 +164,9 @@ final class RequestEngine(
         end(k) = n
         k += 1
       }
-      val states = folds.map(_.make())
-      def feed(row: Row): Unit = {
-        var f = 0
-        while (f < folds.length) { states(f).update(folds(f).input(row)); f += 1 }
-      }
+      val cells = inputs.map(new Cell(_))
+      val feeds = folds.map(_.feed(cells))
+      def feed(): Unit = { var f = 0; while (f < feeds.length) { feeds(f).row(); f += 1 } }
       var done = false
       while (!done) {
         var best = -1
@@ -189,13 +181,21 @@ final class RequestEngine(
           var j = end(best) - 1
           while (j > from(best) && buf(j - 1).ts == ts) j -= 1
           var r = j
-          while (r < end(best)) { feed(buf(r).payload); r += 1 }
+          while (r < end(best)) {
+            val row = buf(r).payload
+            var c = 0
+            while (c < cells.length) { cells(c).load(best, row); c += 1 }
+            feed()
+            r += 1
+          }
           end(best) = j
         }
       }
-      feed(req)
+      var c = 0
+      while (c < cells.length) { cells(c).load(req); c += 1 }
+      feed()
       var f = 0
-      while (f < folds.length) { out += folds(f).name -> states(f).result; f += 1 }
+      while (f < folds.length) { out += folds(f).name -> feeds(f).result; f += 1 }
     }
   }
 
@@ -203,19 +203,26 @@ final class RequestEngine(
     val fs = spec.features.filter(_.window == w.name)
     if (fs.isEmpty) None
     else {
+      val srcTables = (spec.primary +: w.unionTables).map(tables)
       val sources = (spec.primary +: w.unionTables).map(readOf(_, w.keyCol)).toArray
       val bound   = fs.map(f => f -> bindingOf(f, w))
       val served  = bound.collect { case (f, Some((c, pa))) => (c, pa, f) }
         .groupBy(_._1).toSeq
         .map { case (c, xs) => new Served(c, xs.head._2, xs.map(_._3)) }
-      val folds = bound.collect { case (f, None) => foldOf(f) }.toArray
-      Some(new WindowPlan(w, sources, served, folds))
+      val inputs = scala.collection.mutable.ArrayBuffer.empty[Input]
+      def input(col: String, as: Int): Int = {
+        val i = inputs.indexWhere(in => in.col == col && in.as == as)
+        if (i >= 0) i else { inputs += new Input(col, as, srcTables.map(_.column(col)).toArray); inputs.length - 1 }
+      }
+      val folds = bound.collect { case (f, None) => foldOf(f, input) }.toArray
+      Some(new WindowPlan(w, sources, served, inputs.toArray, folds))
     }
   }.toArray
 
-  private final class JoinPlan(val read: Int, val valCols: IndexedSeq[String], val outNames: IndexedSeq[String])
+  private final class JoinPlan(val read: Int, val cols: IndexedSeq[OnlineTable.Column], val outNames: IndexedSeq[String])
   private val joinPlans: Seq[JoinPlan] = spec.lastJoins.map { lj =>
-    new JoinPlan(readOf(lj.table, lj.keyCol), lj.valCols.toIndexedSeq, lj.valCols.map(lj.prefix + _).toIndexedSeq)
+    new JoinPlan(readOf(lj.table, lj.keyCol), lj.valCols.map(tables(lj.table).column).toIndexedSeq,
+      lj.valCols.map(lj.prefix + _).toIndexedSeq)
   }
 
   private val readTables: Array[OnlineTable] = reads.map(r => tables(r._1)).toArray
@@ -224,13 +231,15 @@ final class RequestEngine(
   /** §5.1 fast path: bucket partials plus the raw edges, read from the
     * request's resolved time list, plus the virtual row.
     */
-  private def preAggPartial(b: Served, key: String, s: TimeList[Row], lo: Long, t: Long, req: Row): PartialAcc = {
+  private def preAggPartial(b: Served, key: String, s: TimeList[Array[Byte]], lo: Long, t: Long,
+                            req: Row): PartialAcc = {
     val acc = b.pa.queryRows(key, lo, t, (l, h, acc) =>
       if (s != null) {
         val it = s.scan(l, h)
         while (it.hasNext) {
-          val v = it.next().payload.getOrElse(b.valCol, null)
-          if (v == null) acc.addNull() else acc.add(num(v))
+          val row = it.next().payload
+          val f   = b.col.field(row)
+          if (f == null || f.isNull(row)) acc.addNull() else acc.add(f.double(row))
         }
       })
     val v = req.getOrElse(b.valCol, null)
@@ -243,27 +252,99 @@ object RequestEngine {
   private type Row        = Map[String, Any]
   private type OutBuilder = scala.collection.mutable.Builder[(String, Any), Row]
 
-  /** A raw-folded feature: a fresh [[AggCore]] state per request, fed the
-    * feature's input from each frame row.
+  // How a fold reads its input column: as a number, a string or a boolean.
+  private final val AsNum = 0
+  private final val AsStr = 1
+  private final val AsBool = 2
+
+  /** One column a window's folds read, under one coercion; `cols` holds its
+    * handle in each of the window's source tables.
     */
-  private final class Fold(val name: String, val make: () => AggCore.State[Any, Any], val input: Row => Any)
+  private final class Input(val col: String, val as: Int, val cols: Array[OnlineTable.Column])
 
-  private def fold[I](name: String, make: () => AggCore.State[I, _], input: Row => I): Fold =
-    new Fold(name, make.asInstanceOf[() => AggCore.State[Any, Any]], input)
+  /** An input's value in the frame row being fed, decoded once per row. A
+    * stored row coerces as a request map does: `num`, `String.valueOf` and
+    * `boolOf`, without boxing where the stored type allows.
+    */
+  private final class Cell(in: Input) {
+    var isNull = true; var d = 0.0; var s: String = null; var b = false
 
-  private def foldOf(f: Feature): Fold = f.fn match {
-    // count(1): every frame row counts
-    case FeatureFn.Count                 => fold(f.name, () => new AggCore.CountState, _ => java.lang.Boolean.TRUE)
-    case FeatureFn.Sum(c)                => fold(f.name, () => new AggCore.SumState, r => dbl(r, c))
-    case FeatureFn.Avg(c)                => fold(f.name, () => new AggCore.AvgState, r => dbl(r, c))
-    case FeatureFn.Min(c)                => fold(f.name, () => new AggCore.MinState, r => dbl(r, c))
-    case FeatureFn.Max(c)                => fold(f.name, () => new AggCore.MaxState, r => dbl(r, c))
-    case FeatureFn.DistinctCount(c)      => fold(f.name, () => new AggCore.DistinctCountState, r => str(r, c))
-    case FeatureFn.TopNFreq(c, n)        => fold(f.name, () => new AggCore.TopNFreqState(n), r => str(r, c))
-    case FeatureFn.AvgCateWhere(v, p, c) =>
-      fold(f.name, () => new AggCore.AvgCateWhereState, r => (dbl(r, v), bool(r, p), str(r, c)))
-    case FeatureFn.Drawdown(c)           => fold(f.name, () => new AggCore.DrawdownState, r => dbl(r, c))
-    case FeatureFn.EwAvg(c, a)           => fold(f.name, () => new AggCore.EwAvgState(a), r => dbl(r, c))
+    def load(src: Int, row: Array[Byte]): Unit = {
+      val f = in.cols(src).field(row)
+      isNull = f == null || f.isNull(row)
+      in.as match {
+        case AsNum => if (!isNull) d = f.double(row)
+        case AsStr => s = if (isNull) null else f.string(row)
+        case _     => if (!isNull) b = f.bool(row)
+      }
+    }
+
+    def load(req: Row): Unit = {
+      val v = req.getOrElse(in.col, null)
+      isNull = v == null
+      in.as match {
+        case AsNum => if (!isNull) d = num(v)
+        case AsStr => s = if (isNull) null else String.valueOf(v)
+        case _     => if (!isNull) b = boolOf(v)
+      }
+    }
+  }
+
+  /** One raw-folded feature's [[AggCore]] state for one request, fed from
+    * the cells once per frame row.
+    */
+  private abstract class Feed {
+    def row(): Unit
+    def result: Any
+  }
+  private final class CountFeed extends Feed {
+    private val s = new AggCore.CountState
+    def row(): Unit = s.update(java.lang.Boolean.TRUE) // count(1): every frame row counts
+    def result: Any = s.result
+  }
+  private final class NumFeed(c: Cell, s: AggCore.NumState[_]) extends Feed {
+    def row(): Unit = if (!c.isNull) s.add(c.d)
+    def result: Any = s.result
+  }
+  private final class StrFeed(c: Cell, s: AggCore.State[String, _]) extends Feed {
+    def row(): Unit = s.update(c.s)
+    def result: Any = s.result
+  }
+  private final class CateFeed(v: Cell, p: Cell, cate: Cell) extends Feed {
+    private val s = new AggCore.AvgCateWhereState
+    def row(): Unit = if (!v.isNull && !p.isNull && p.b && cate.s != null) s.add(v.d, cate.s)
+    def result: Any = s.result
+  }
+
+  /** A raw-folded feature: its output name and how to build its feed over
+    * one request's cells.
+    */
+  private final class Fold(val name: String, val feed: Array[Cell] => Feed)
+
+  /** Compiles a feature's fold; `input(column, coercion)` gives the index of
+    * the cell it reads.
+    */
+  private def foldOf(f: Feature, input: (String, Int) => Int): Fold = {
+    def num(c: String, make: () => AggCore.NumState[_]): Array[Cell] => Feed = {
+      val i = input(c, AsNum); cells => new NumFeed(cells(i), make())
+    }
+    def str(c: String, make: () => AggCore.State[String, _]): Array[Cell] => Feed = {
+      val i = input(c, AsStr); cells => new StrFeed(cells(i), make())
+    }
+    new Fold(f.name, f.fn match {
+      case FeatureFn.Count                 => _ => new CountFeed
+      case FeatureFn.Sum(c)                => num(c, () => new AggCore.SumState)
+      case FeatureFn.Avg(c)                => num(c, () => new AggCore.AvgState)
+      case FeatureFn.Min(c)                => num(c, () => new AggCore.MinState)
+      case FeatureFn.Max(c)                => num(c, () => new AggCore.MaxState)
+      case FeatureFn.DistinctCount(c)      => str(c, () => new AggCore.DistinctCountState)
+      case FeatureFn.TopNFreq(c, n)        => str(c, () => new AggCore.TopNFreqState(n))
+      case FeatureFn.AvgCateWhere(v, p, c) =>
+        val (iv, ip, ic) = (input(v, AsNum), input(p, AsBool), input(c, AsStr))
+        cells => new CateFeed(cells(iv), cells(ip), cells(ic))
+      case FeatureFn.Drawdown(c)           => num(c, () => new AggCore.DrawdownState)
+      case FeatureFn.EwAvg(c, a)           => num(c, () => new AggCore.EwAvgState(a))
+    })
   }
 
   /** One pre-aggregated feature from its binding's merged partial, which
@@ -287,18 +368,8 @@ object RequestEngine {
     case other     => other.toString.toDouble
   }
 
-  private def dbl(r: Row, c: String): java.lang.Double = r.getOrElse(c, null) match {
-    case null                => null
-    case d: java.lang.Double => d
-    case x                   => java.lang.Double.valueOf(num(x))
-  }
-  private def str(r: Row, c: String): String = {
-    val v = r.getOrElse(c, null)
-    if (v == null) null else String.valueOf(v)
-  }
-  private def bool(r: Row, c: String): java.lang.Boolean = r.getOrElse(c, null) match {
-    case null       => null
-    case b: Boolean => java.lang.Boolean.valueOf(b)
-    case x          => java.lang.Boolean.valueOf(x.toString.toBoolean)
+  private def boolOf(v: Any): Boolean = v match {
+    case b: Boolean => b
+    case other      => other.toString.toBoolean
   }
 }

@@ -1,11 +1,11 @@
 package repro.storage
 
 import java.util.concurrent.{ConcurrentHashMap, ThreadLocalRandom}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference, AtomicReferenceArray}
+import java.util.concurrent.atomic.{AtomicReference, AtomicReferenceArray}
 import scala.jdk.CollectionConverters._
 
-/** One stored tuple: timestamp plus an opaque payload (typically a
-  * `RowCodec`-encoded byte array, but tests also store decoded values).
+/** One stored tuple: timestamp plus an opaque payload (the online tables
+  * store `RowCodec`-encoded byte arrays; tests also store plain values).
   * [[TimeList]] hands out its own nodes as entries, so reads allocate
   * nothing per row.
   */
@@ -27,19 +27,18 @@ trait TsEntry[P] {
   * expired nodes are contiguous at the tail because the list is
   * time-ordered).
   */
-final class TimeList[P] {
+final class TimeList[P] extends TimeListCounters {
   import TimeList._
 
   private val head = new Node[P](Long.MaxValue, null.asInstanceOf[P], new AtomicReferenceArray(MaxLevel - 1))
-  private val count = new AtomicLong(0)
-  // Levels in use: raised before a taller node links, never lowered, so
-  // searches and trims that start at `top - 1` see every linked level.
-  private val top = new AtomicInteger(1)
+  // Levels in use (`top`) are raised before a taller node links and never
+  // lowered, so searches and trims that start at `top - 1` see every
+  // linked level.
 
   /** Last node at `level` with ts > `ts`, searching down from the top. */
   private def predAt(ts: Long, level: Int): Node[P] = {
     var x = head
-    var l = math.max(top.get() - 1, level)
+    var l = math.max(top() - 1, level)
     while (l >= level) {
       var n = x.next(l)
       while (n != null && n.ts > ts) { x = n; n = x.next(l) }
@@ -69,13 +68,13 @@ final class TimeList[P] {
     val node = new Node[P](ts, payload, if (h > 1) new AtomicReferenceArray(h - 1) else null)
     val first = head.get()
     val newest = first == null || first.ts <= ts
-    if (h > top.get()) top.accumulateAndGet(h, (a, b) => math.max(a, b))
+    raiseTop(h)
     var l = 0
     while (l < h) {
       linkAt(node, l, if (newest) head else predAt(ts, l))
       l += 1
     }
-    count.incrementAndGet()
+    addCount(1)
   }
 
   /** First entry with ts <= `t`, or null. */
@@ -119,13 +118,13 @@ final class TimeList[P] {
   def trimBefore(cutoff: Long): Int =
     if (cutoff == Long.MinValue) 0
     else {
-      var l = top.get() - 1
+      var l = top() - 1
       while (l >= 1) { cutAt(l, cutoff); l -= 1 }
       val tail = cutAt(0, cutoff)
       var n = 0
       var c = tail
       while (c != null) { n += 1; c = c.get() }
-      count.addAndGet(-n)
+      addCount(-n)
       n
     }
 
@@ -146,7 +145,7 @@ final class TimeList[P] {
     cut
   }
 
-  def size: Long = count.get()
+  def size: Long = count()
 }
 
 object TimeList {
@@ -201,6 +200,9 @@ final class TimeSeriesStore[K, P] {
 
   def nKeys: Long = index.size
   def nRows: Long = index.values.asScala.iterator.map(_.size).sum
+
+  /** Every stored entry, key by key (a walk of the whole store). */
+  def entries: Iterator[TsEntry[P]] = index.values.asScala.iterator.flatMap(_.iterator)
 
   /** TTL eviction across all keys; returns entries removed. */
   def evictBefore(cutoff: Long): Long =

@@ -262,4 +262,13 @@ class RequestEngineSpec extends AnyFunSuite {
     }
     assert(e.getMessage.contains("orders, profile"), e.getMessage)
   }
+
+  test("a row missing its key or ts column fails naming the table and the column") {
+    val (eng, tables) = mkEngine()
+    val noKey = intercept[IllegalArgumentException](eng.insert("orders", Map("ts" -> 1L, "price" -> 1.0)))
+    assert(noKey.getMessage.contains("orders") && noKey.getMessage.contains("'userid'"), noKey.getMessage)
+    val noTs = intercept[IllegalArgumentException](eng.insert("profile", Map("userid" -> 1L, "segment" -> "s")))
+    assert(noTs.getMessage.contains("profile") && noTs.getMessage.contains("'pts'"), noTs.getMessage)
+    assert(tables.values.forall(_.rows == 0))
+  }
 }

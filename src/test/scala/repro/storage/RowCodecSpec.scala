@@ -166,4 +166,65 @@ class RowCodecSpec extends AnyFunSuite {
       c.sizeOf(values) == c.encode(values).length
     })
   }
+
+  /** Strings that cover empty, non-ASCII (including a surrogate pair) and
+    * long values, so rows reach all three offset widths.
+    */
+  private val stringGen: Gen[String] = Gen.frequency(
+    4 -> Gen.alphaNumStr.map(_.take(20)),
+    2 -> Gen.const(""),
+    2 -> Gen.listOf(Gen.oneOf("é", "ß", "日本", "€", "\uD83D\uDE00", "a")).map(_.mkString),
+    1 -> Gen.chooseNum(200, 2000).map("m" * _),
+    1 -> Gen.chooseNum(0, 100).map(n => "é" * n + "L" * 66000))
+
+  private def typedValueGen(t: FieldType): Gen[Any] =
+    if (t == StringT) Gen.frequency(1 -> Gen.const(null), 4 -> stringGen) else valueGen(t)
+
+  private val typedRowGen: Gen[(IndexedSeq[FieldType], IndexedSeq[Any])] =
+    Gen.nonEmptyListOf(fieldGen).map(_.take(12).toIndexedSeq)
+      .flatMap(s => Gen.sequence[IndexedSeq[Any], Any](s.map(typedValueGen)).map(v => (s, v)))
+
+  /** Field `i` through the typed read for its type. */
+  private def typedRead(c: RowCodec, b: Array[Byte], i: Int): Any =
+    if (c.isNull(b, i)) null
+    else c.schema(i) match {
+      case BoolT              => c.getBool(b, i)
+      case SmallIntT          => c.getShort(b, i)
+      case IntT               => c.getInt(b, i)
+      case FloatT             => c.getFloat(b, i)
+      case LongT | TimestampT => c.getLong(b, i)
+      case DoubleT            => c.getDouble(b, i)
+      case StringT            => c.getString(b, i)
+    }
+
+  test("property: every typed single-field read equals the full decode, at all offset widths") {
+    val widths = scala.collection.mutable.Set.empty[Int]
+    check(Prop.forAll(typedRowGen) { case (schema, values) =>
+      val c = new RowCodec(schema)
+      val b = c.encode(values)
+      val decoded = c.decode(b)
+      if (schema.contains(StringT)) widths += (if (b.length < 0x100) 1 else if (b.length < 0x10000) 2 else 4)
+      decoded == values && c.sizeOf(values) == b.length && schema.indices.forall { i =>
+        val (t, g) = (typedRead(c, b, i), c.get(b, i))
+        t == decoded(i) && g == decoded(i) && (t == null || t.getClass == decoded(i).getClass)
+      }
+    })
+    assert(widths == Set(1, 2, 4), s"offset widths seen: $widths")
+  }
+
+  test("a typed read of a field of another type fails naming both types") {
+    val c = new RowCodec(IndexedSeq(IntT, StringT))
+    val b = c.encode(IndexedSeq(1, "x"))
+    val e = intercept[IllegalArgumentException](c.getDouble(b, 0))
+    assert(e.getMessage.contains("IntT") && e.getMessage.contains("DoubleT"), e.getMessage)
+  }
+
+  test("an action-shaped row encodes to its §7.1 size, with no per-value boxes") {
+    // user, ts, amount, item, price, flag, category
+    val c = new RowCodec(IndexedSeq(StringT, LongT, DoubleT, StringT, DoubleT, BoolT, StringT))
+    val row = IndexedSeq("u1234", 1700000000000L, 123.45, "i42", 55.5, true, "c0")
+    // header 6 + bitmap 1 + fixed 8+8+8+1 + 3 one-byte offsets + string data 5+3+2
+    assert(c.encode(row).length == 6 + 1 + 25 + 3 + 10)
+    assert(c.encode(row).length == 45)
+  }
 }
