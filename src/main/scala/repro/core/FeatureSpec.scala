@@ -59,7 +59,6 @@ final case class FeatureSpec(
   require(lastJoins.isEmpty || windows.nonEmpty,
     "a LAST JOIN takes the primary table's timestamp column from the first window; " +
       "declare at least one window when the spec has LAST JOINs")
-  def window(name: String): WindowDef = windows.find(_.name == name).get
 
   /** Fails naming every primary, union or LAST JOIN table that `present`
     * does not hold.

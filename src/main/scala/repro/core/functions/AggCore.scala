@@ -176,7 +176,10 @@ object AggCore {
 
   // -------------------------------------------------------- scalar helpers
 
-  /** split_by_key("a:1,b:2", ",", ":") == Seq("a", "b") (§4.1 (4)). */
+  /** split_by_key("a:1,b:2", ",", ":") == Seq("a", "b") (§4.1 (4)). No
+    * spec kind calls it yet: it waits for scalar features that both engines
+    * evaluate (ROADMAP item 11).
+    */
   def splitByKey(s: String, delim: String, kvDelim: String): Seq[String] =
     if (s == null) null
     else s.split(java.util.regex.Pattern.quote(delim), -1).toSeq
@@ -185,31 +188,4 @@ object AggCore {
         val i = seg.indexOf(kvDelim)
         if (i < 0) seg else seg.substring(0, i)
       }
-
-  /** Stable non-negative feature hash (murmur-like) for discrete
-    * signatures (§4.1 (5)); `dim` buckets.
-    */
-  def featureHash(v: String, dim: Int): Int = {
-    var h = 1125899906842597L
-    v.foreach(c => h = 31 * h + c)
-    (((h % dim) + dim) % dim).toInt
-  }
-
-  /** multiclass_label: numeric-like value to a dense non-negative int
-    * class label (fractions truncate); strings and other values are hashed
-    * into 2^20 classes. The SQL `multiclass_label` calls this too.
-    */
-  def multiclassLabel(v: Any): Integer = v match {
-    case null       => null
-    case i: Int     => i
-    case l: Long    => l.toInt
-    case d: Double  => d.toInt
-    case f: Float   => f.toInt
-    case s: Short   => s.toInt
-    case b: Byte    => b.toInt
-    case d: java.math.BigDecimal => d.doubleValue.toInt
-    case d: BigDecimal => d.toDouble.toInt
-    case s: String  => featureHash(s, 1 << 20)
-    case other      => featureHash(other.toString, 1 << 20)
-  }
 }

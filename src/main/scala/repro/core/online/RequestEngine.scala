@@ -123,7 +123,7 @@ final class RequestEngine(
     * the frame merged from `sources` (read slots: primary, then unions),
     * fed from `inputs`, the distinct columns the folds read.
     */
-  private final class WindowPlan(w: WindowDef, sources: Array[Int], served: Seq[Served],
+  private final class WindowPlan(val w: WindowDef, sources: Array[Int], val served: Seq[Served],
                                  inputs: Array[Input], folds: Array[Fold]) {
     def compute(req: Row, series: Array[TimeList[Array[Byte]]], out: OutBuilder): Unit = {
       val t  = num(req(w.tsCol)).toLong
@@ -200,11 +200,13 @@ final class RequestEngine(
   }
 
   private val windowPlans: Array[WindowPlan] = spec.windows.flatMap { w =>
+    val names = spec.primary +: w.unionTables
+    names.foreach(requireIndexed(s"window ${w.name}", _, w.keyCol, w.tsCol))
     val fs = spec.features.filter(_.window == w.name)
     if (fs.isEmpty) None
     else {
-      val srcTables = (spec.primary +: w.unionTables).map(tables)
-      val sources = (spec.primary +: w.unionTables).map(readOf(_, w.keyCol)).toArray
+      val srcTables = names.map(tables)
+      val sources = names.map(readOf(_, w.keyCol)).toArray
       val bound   = fs.map(f => f -> bindingOf(f, w))
       val served  = bound.collect { case (f, Some((c, pa))) => (c, pa, f) }
         .groupBy(_._1).toSeq
@@ -221,8 +223,25 @@ final class RequestEngine(
 
   private final class JoinPlan(val read: Int, val cols: IndexedSeq[OnlineTable.Column], val outNames: IndexedSeq[String])
   private val joinPlans: Seq[JoinPlan] = spec.lastJoins.map { lj =>
+    requireIndexed(s"LAST JOIN ${lj.table}", lj.table, lj.keyCol, lj.tsCol)
     new JoinPlan(readOf(lj.table, lj.keyCol), lj.valCols.map(tables(lj.table).column).toIndexedSeq,
       lj.valCols.map(lj.prefix + _).toIndexedSeq)
+  }
+
+  // Each `Served` is one (window, column) a pre-aggregation serves; one that
+  // serves none would be fed on every primary insert and never read.
+  if (windowPlans.foldLeft(0)(_ + _.served.size) < preAgg.size)
+    throw new IllegalArgumentException("pre-aggregations no request reads (undeclared or WINDOW UNION window, or no " +
+      "feature binds them): " + (preAgg.keySet -- windowPlans.flatMap(p => p.served.map(b => (p.w.name, b.valCol))))
+        .map { case (w, c) => s"$c over window $w" }.mkString(", "))
+
+  /** Fails unless `table` is indexed by the columns `reader` reads it by, as offline does. Over every window and
+    * LAST JOIN this makes the primary's ts, which LAST JOIN reads online, the first window's, which it reads offline.
+    */
+  private def requireIndexed(reader: String, table: String, keyCol: String, tsCol: String): Unit = {
+    val t = tables(table)
+    require(t.keyCol == keyCol && t.tsCol == tsCol,
+      s"$reader reads table $table by ($keyCol, $tsCol), but $table is indexed by (${t.keyCol}, ${t.tsCol})")
   }
 
   private val readTables: Array[OnlineTable] = reads.map(r => tables(r._1)).toArray

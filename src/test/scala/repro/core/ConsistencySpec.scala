@@ -8,9 +8,10 @@ import repro.core.online.{OnlineTable, PreAggTable, RequestEngine}
   * engines, identical results. We compile a [[FeatureSpec]] offline (Spark
   * plan over the full table) and online (request engine over the skiplist
   * store) and assert row-for-row equality of every feature — including
-  * WINDOW UNION, LAST JOIN and the pre-aggregated long-window path. The
-  * order-sensitive functions (`drawdown`, `ew_avg`) are not compared
-  * here: under ts ties the two engines order a frame's peers differently.
+  * WINDOW UNION, LAST JOIN, the pre-aggregated long-window path and all
+  * ten functions, the order-sensitive `drawdown` and `ew_avg` among them.
+  * Only timestamp ties are left out where order matters: under a tie the
+  * two engines order a frame's peers differently.
   */
 class ConsistencySpec extends SparkSpec {
 
@@ -82,6 +83,54 @@ class ConsistencySpec extends SparkSpec {
       }
       assert(m("f_top") == o("f_top"), s"f_top at ${key(m)}")
       assert(m("p_segment") == o("p_segment"), s"p_segment at ${key(m)}")
+    }
+  }
+
+  test("all ten functions agree over a WINDOW UNION window and a plain window") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(12)
+    // Distinct ts across both tables, so every (userid, ts) is unique and
+    // no frame has ties; about 20% of each value column is null.
+    val ts = rnd.shuffle((0L until 30000L).toVector).take(360)
+    def maybe[T](v: => T): Option[T] = if (rnd.nextInt(5) == 0) None else Some(v)
+    def price = maybe(1.0 + rnd.nextInt(100))
+    def category = maybe(s"c${rnd.nextInt(4)}")
+    val actions = ts.take(240).map(t => (1L + rnd.nextInt(6), t, price, category, maybe(rnd.nextBoolean())))
+      .toDF("userid", "ts", "price", "category", "flag")
+    // No `flag` column: the union rows never pass avg_cate_where's condition.
+    val orders = ts.drop(240).map(t => (1L + rnd.nextInt(6), t, price, category))
+      .toDF("userid", "ts", "price", "category")
+    def all(w: String) = Seq(
+      Feature(s"${w}_cnt", FeatureFn.Count, w),
+      Feature(s"${w}_sum", FeatureFn.Sum("price"), w),
+      Feature(s"${w}_avg", FeatureFn.Avg("price"), w),
+      Feature(s"${w}_min", FeatureFn.Min("price"), w),
+      Feature(s"${w}_max", FeatureFn.Max("price"), w),
+      Feature(s"${w}_dc", FeatureFn.DistinctCount("category"), w),
+      Feature(s"${w}_top", FeatureFn.TopNFreq("category", 2), w),
+      Feature(s"${w}_cate", FeatureFn.AvgCateWhere("price", "flag", "category"), w),
+      Feature(s"${w}_dd", FeatureFn.Drawdown("price"), w),
+      Feature(s"${w}_ew", FeatureFn.EwAvg("price", 0.3), w))
+    val spec10 = FeatureSpec("actions",
+      Seq(WindowDef("wu", "userid", "ts", 3000L, unionTables = Seq("orders")), WindowDef("wp", "userid", "ts", 20000L)),
+      all("wu") ++ all("wp"))
+    val data = Map("actions" -> actions, "orders" -> orders)
+
+    val offline = UnifiedPlanner.offline(spark, data, spec10).collect().map(toMap)
+    val online = onlineForSpec(spec10, data.map { case (t, df) => t -> df.collect().toSeq })
+      .map(m => (m("userid"), m("ts")) -> m).toMap
+    assert(offline.length == 240 && online.size == 240)
+    offline.foreach { m =>
+      val o = online((m("userid"), m("ts")))
+      spec10.features.map(_.name).foreach { f =>
+        (m(f), o(f)) match {
+          case (a: String, b) => assert(a == b, s"$f at ${m("ts")}")
+          case (a, b) =>
+            val (x, y) = (num(a), num(b))
+            assert((x.isNaN && y.isNaN) || math.abs(x - y) <= 1e-9 * math.max(1.0, math.abs(x)),
+              s"$f at ${m("ts")}: offline $a, online $b")
+        }
+      }
     }
   }
 

@@ -226,30 +226,4 @@ class AggCoreSpec extends AnyFunSuite {
   test("splitByKey treats delimiters literally (regex metachars)") {
     assert(splitByKey("a=1|b=2", "|", "=") == Seq("a", "b"))
   }
-
-  test("featureHash is stable and in range") {
-    val h1 = featureHash("hello", 1000)
-    assert(h1 == featureHash("hello", 1000))
-    assert(h1 >= 0 && h1 < 1000)
-  }
-
-  test("property: featureHash always lands in [0, dim)") {
-    check(Prop.forAll(Gen.alphaNumStr, Gen.chooseNum(1, 1 << 20)) { (s, d) =>
-      val h = featureHash(s, d)
-      h >= 0 && h < d
-    })
-  }
-
-  test("multiclassLabel passes numerics through and hashes strings") {
-    assert(multiclassLabel(7) == 7)
-    assert(multiclassLabel(7L) == 7)
-    assert(multiclassLabel(7.9) == 7)
-    assert(multiclassLabel(7.toShort) == 7)
-    assert(multiclassLabel(7.toByte) == 7)
-    assert(multiclassLabel(new java.math.BigDecimal("7.9")) == 7)
-    assert(multiclassLabel(BigDecimal(7.9)) == 7)
-    assert(multiclassLabel(null) == null)
-    val h = multiclassLabel("cat")
-    assert(h >= 0 && h < (1 << 20))
-  }
 }

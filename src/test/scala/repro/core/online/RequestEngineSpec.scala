@@ -271,4 +271,59 @@ class RequestEngineSpec extends AnyFunSuite {
     assert(noTs.getMessage.contains("profile") && noTs.getMessage.contains("'pts'"), noTs.getMessage)
     assert(tables.values.forall(_.rows == 0))
   }
+
+  test("a window over a table indexed by other columns fails at construction, naming both") {
+    // Online would read the window through the `user` index; offline
+    // partitions it by `cat`.
+    val byCat = FeatureSpec("t", Seq(WindowDef("wc", "cat", "ts", 1000L)),
+      Seq(Feature("c", FeatureFn.Count, "wc"), Feature("s", FeatureFn.Sum("v"), "wc")))
+    val e = intercept[IllegalArgumentException](new RequestEngine(byCat, Map("t" -> new OnlineTable("user", "ts"))))
+    Seq("window wc", "table t", "(cat, ts)", "(user, ts)").foreach(s => assert(e.getMessage.contains(s), e.getMessage))
+
+    val unionByTs2 = FeatureSpec("a", Seq(WindowDef("wu", "k", "ts", 1000L, unionTables = Seq("u"))),
+      Seq(Feature("c", FeatureFn.Count, "wu")))
+    val u = intercept[IllegalArgumentException] {
+      new RequestEngine(unionByTs2, Map("a" -> new OnlineTable("k", "ts"), "u" -> new OnlineTable("k", "ts2")))
+    }
+    Seq("window wu", "table u", "(k, ts)", "(k, ts2)").foreach(s => assert(u.getMessage.contains(s), u.getMessage))
+  }
+
+  test("a LAST JOIN's request ts is the first window's ts, and its table is indexed by the join's columns") {
+    // Online the request ts comes from the primary's index, offline from the
+    // first window: both must be `ets`, else online joins at pts=150.
+    val spec = FeatureSpec("a", Seq(WindowDef("w", "k", "ets", 1000L)), Seq(Feature("c", FeatureFn.Count, "w")),
+      Seq(LastJoinDef("p", "k", "pts", Seq("seg"))))
+    val byPts = intercept[IllegalArgumentException] {
+      new RequestEngine(spec, Map("a" -> new OnlineTable("k", "pts"), "p" -> new OnlineTable("k", "pts")))
+    }
+    Seq("window w", "table a", "(k, ets)", "(k, pts)").foreach(s => assert(byPts.getMessage.contains(s), byPts.getMessage))
+
+    val joinByTs = intercept[IllegalArgumentException] {
+      new RequestEngine(spec, Map("a" -> new OnlineTable("k", "ets"), "p" -> new OnlineTable("k", "ts")))
+    }
+    Seq("LAST JOIN p", "table p", "(k, pts)", "(k, ts)").foreach(s => assert(joinByTs.getMessage.contains(s), joinByTs.getMessage))
+
+    val eng = new RequestEngine(spec, Map("a" -> new OnlineTable("k", "ets"), "p" -> new OnlineTable("k", "pts")))
+    eng.insert("p", Map("k" -> 1L, "pts" -> 100L, "seg" -> "early"))
+    eng.insert("p", Map("k" -> 1L, "pts" -> 180L, "seg" -> "late"))
+    assert(eng.request(Map("k" -> 1L, "ets" -> 200L, "pts" -> 150L))("seg") == "late")
+  }
+
+  test("a pre-aggregation that no request reads fails at construction, naming its window") {
+    val spec = FeatureSpec("actions",
+      Seq(WindowDef("wu", "userid", "ts", 1000L, unionTables = Seq("orders")), WindowDef("wd", "userid", "ts", 1000L),
+          WindowDef("wm", "userid", "ts", 1000L)),
+      Seq(Feature("s", FeatureFn.Sum("price"), "wu"), Feature("dc", FeatureFn.DistinctCount("price"), "wd"),
+          Feature("m", FeatureFn.Max("price"), "wm")))
+    def engine(key: (String, String)) = new RequestEngine(spec,
+      Map("actions" -> new OnlineTable("userid", "ts"), "orders" -> new OnlineTable("userid", "ts")),
+      Map(key -> new PreAggTable(Seq(100L))))
+    // An undeclared window, a WINDOW UNION window, and a window with no
+    // count/sum/avg/min/max of the column
+    Seq("nowin", "wu", "wd").foreach { w =>
+      val e = intercept[IllegalArgumentException](engine((w, "price")))
+      assert(e.getMessage.contains("no request reads") && e.getMessage.endsWith(s"price over window $w"), e.getMessage)
+    }
+    engine(("wm", "price"))
+  }
 }
