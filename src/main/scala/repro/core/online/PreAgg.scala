@@ -70,7 +70,8 @@ final class PreAggTable(val levels: Seq[Long]) {
   }
 
   /** Merge partials covering ts in [lo, hi] for `key`; `raw` scans raw
-    * rows for sub-bucket edges and must return (ts, value) pairs.
+    * rows for sub-bucket edges and must return (ts, value) pairs, under
+    * the contract of [[queryRows]].
     */
   def query(key: String, lo: Long, hi: Long,
             raw: (Long, Long) => Iterator[(Long, Double)]): PartialAcc =
@@ -82,22 +83,48 @@ final class PreAggTable(val levels: Seq[Long]) {
     * Coarsest level first, each level covers the widest bucket-aligned
     * span inside [lo, hi]; a finer level's span contains a coarser one's,
     * so it adds only its buckets left and right of what is covered. What
-    * the finest level leaves uncovered are the raw edges.
+    * the finest level leaves uncovered are the raw edges: the left edge
+    * lies in the finest bucket just before the cover, the right edge in
+    * the one the cover ends at. An edge whose bucket counts no rows is not
+    * scanned; the counts come from the searches the merge makes anyway.
+    *
+    * So for a key with buckets, `raw` has to supply exactly the rows
+    * recorded through `insert`/`insertNull`: a row it holds that no bucket
+    * counts may be skipped with its edge. A key with no buckets, or a
+    * range that covers no finest bucket, is scanned whole.
     */
   def queryRows(key: String, lo: Long, hi: Long, raw: (Long, Long, PartialAcc) => Unit): PartialAcc = {
     val acc = new PartialAcc
     val agg = if (lo > hi) null else state.get(key)
     var buckets = 0
     var cs = 0L; var ce = 0L // covered span [cs, ce); empty while cs == ce
+    var leftRows = 0L; var rightRows = 0L // rows in the finest buckets holding the edges
     if (agg != null) agg.synchronized {
       var i = widths.length - 1
       while (i >= 0) {
-        val w = widths(i)
-        val s = math.floorDiv(lo + w - 1, w) * w // first bucket fully inside
-        val e = math.floorDiv(hi + 1, w) * w     // exclusive end of full cover
+        val w  = widths(i)
+        val lv = agg(i)
+        val s  = math.floorDiv(lo + w - 1, w) * w // first bucket fully inside
+        val e  = math.floorDiv(hi + 1, w) * w     // exclusive end of full cover
         if (s < e) {
-          if (cs == ce) buckets += agg(i).mergeRange(s, e, acc)
-          else buckets += agg(i).mergeRange(s, cs, acc) + agg(i).mergeRange(ce, e, acc)
+          // Left piece [s, cs), or all of [s, e) while nothing is covered;
+          // then the right piece [ce, e). The finest level searches even
+          // an empty piece, to find its edge bucket.
+          val fine  = i == 0
+          val until = if (cs == ce) e else cs
+          var z = 0
+          if (s < until || fine) {
+            val a = lv.lowerBound(s, 0)
+            z = lv.mergeFrom(a, until, acc)
+            buckets += z - a
+            if (fine) { leftRows = lv.rowsAt(a - 1, s - w); rightRows = lv.rowsAt(z, e) }
+          }
+          if (cs != ce && (ce < e || fine)) {
+            val b = lv.lowerBound(ce, z)
+            val y = lv.mergeFrom(b, e, acc)
+            buckets += y - b
+            if (fine) rightRows = lv.rowsAt(y, e)
+          }
           cs = s; ce = e
         }
         i -= 1
@@ -105,8 +132,8 @@ final class PreAggTable(val levels: Seq[Long]) {
     }
     val rows0 = acc.rows
     if (cs < ce) {
-      if (lo < cs) raw(lo, cs - 1, acc)
-      if (ce <= hi) raw(ce, hi, acc)
+      if (lo < cs && leftRows > 0) raw(lo, cs - 1, acc)
+      if (ce <= hi && rightRows > 0) raw(ce, hi, acc)
     } else if (lo <= hi) raw(lo, hi, acc)
     lastQueryBuckets = buckets
     lastQueryRawRows = (acc.rows - rows0).toInt
@@ -131,9 +158,11 @@ object PreAggTable {
     private def dbl(j: Int): Double = java.lang.Double.longBitsToDouble(buckets(j))
     private def setDbl(j: Int, v: Double): Unit = buckets(j) = java.lang.Double.doubleToRawLongBits(v)
 
-    /** First bucket index with start >= `b` (size when there is none). */
-    private def lowerBound(b: Long): Int = {
-      var l = 0; var h = size
+    /** First bucket index at or after `from` with start >= `b` (size when
+      * there is none).
+      */
+    def lowerBound(b: Long, from: Int): Int = {
+      var l = from; var h = size
       while (l < h) {
         val m = (l + h) >>> 1
         if (start(m) < b) l = m + 1 else h = m
@@ -150,7 +179,7 @@ object PreAggTable {
         if (size > 0 && start(size - 1) == b) size - 1
         else if (size == 0 || start(size - 1) < b) open(size, b)
         else {
-          val j = lowerBound(b)
+          val j = lowerBound(b, 0)
           if (start(j) == b) j else open(j, b)
         }
       val o = 6 * i
@@ -174,12 +203,11 @@ object PreAggTable {
       i
     }
 
-    /** Merges the buckets starting in [from, until) into `acc`; returns
-      * how many there were.
+    /** Merges the buckets from index `i` on that start before `until` into
+      * `acc`; returns the index after the last one merged.
       */
-    def mergeRange(from: Long, until: Long, acc: PartialAcc): Int = {
-      var i = lowerBound(from)
-      val i0 = i
+    def mergeFrom(i0: Int, until: Long, acc: PartialAcc): Int = {
+      var i = i0
       while (i < size && start(i) < until) {
         val o = 6 * i
         acc.rows += buckets(o + 1)
@@ -189,7 +217,11 @@ object PreAggTable {
         if (dbl(o + 5) > acc.max) acc.max = dbl(o + 5)
         i += 1
       }
-      i - i0
+      i
     }
+
+    /** Rows of bucket `i` if it starts at `b`, else 0. */
+    def rowsAt(i: Int, b: Long): Long =
+      if (i >= 0 && i < size && start(i) == b) buckets(6 * i + 1) else 0L
   }
 }

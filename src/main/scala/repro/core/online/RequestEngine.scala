@@ -38,7 +38,18 @@ final class RequestEngine(
   spec.requireTables(tables.contains)
   private val primary = tables(spec.primary)
 
-  /** Ingest a data tuple into a table (and its pre-aggregators). */
+  /** Ingest a data tuple into a table (and its pre-aggregators).
+    *
+    * A primary row is stored in its table first, then recorded in each
+    * pre-aggregation. A pre-aggregated feature counts the row once it is
+    * recorded, inside the covered buckets and on a raw edge alike: an edge
+    * is scanned only when its finest bucket counts rows, and a recorded
+    * row is already in the table. So once `insert` returns, every request
+    * sees the row in every feature. A request that runs while an insert is
+    * between the two steps sees the row in its raw-folded features but may
+    * miss it in the pre-aggregated ones; it can see it there early only on
+    * an edge whose finest bucket already counts another recorded row.
+    */
   def insert(table: String, row: Map[String, Any]): Unit =
     tables(table).put(table, row, if (table == spec.primary) feedPreAggs else null)
 
@@ -69,20 +80,25 @@ final class RequestEngine(
       series(i) = readTables(i).series(String.valueOf(req(readCols(i))))
       i += 1
     }
-    val out = Map.newBuilder[String, Any]
-    out ++= req
-    windowPlans.foreach(_.compute(req, series, out))
-    if (joinPlans.nonEmpty) {
+    val values = new Array[Any](outNames.length)
+    i = 0
+    while (i < windowPlans.length) { windowPlans(i).compute(req, series, values); i += 1 }
+    if (joinPlans.length > 0) {
       val ts = primary.tsOf(req)
-      joinPlans.foreach { j =>
-        val s   = series(j.read)
-        val hit = if (s == null) None else s.latest(ts)
-        j.cols.indices.foreach { c =>
-          out += j.outNames(c) -> hit.map(e => j.cols(c).value(e.payload)).orNull
+      i = 0
+      while (i < joinPlans.length) {
+        val j = joinPlans(i)
+        val s = series(j.read)
+        val e = if (s == null) null else s.latestOrNull(ts)
+        var c = 0
+        while (c < j.cols.length) {
+          values(j.slots(c)) = if (e == null) null else j.cols(c).value(e.payload)
+          c += 1
         }
+        i += 1
       }
     }
-    out.result()
+    new FeatureRow(req, outNames, outIndex, values)
   }
 
   // ---------------------------------------------------------- compiled plan
@@ -96,12 +112,34 @@ final class RequestEngine(
     if (i >= 0) i else { reads += ((table, keyCol)); reads.length - 1 }
   }
 
+  /** The response's output columns in production order (each window's
+    * pre-aggregated features, then its folded ones; then the LAST JOIN
+    * columns), filled while the plans below are built, and the slot of
+    * each. A name given twice keeps one slot, which the later write fills.
+    */
+  private val outBuffer = scala.collection.mutable.ArrayBuffer.empty[String]
+  private val outIndex  = new java.util.HashMap[String, Integer]
+  private def slotOf(name: String): Int = {
+    val i = outIndex.get(name)
+    if (i != null) i
+    else { outIndex.put(name, outBuffer.length); outBuffer += name; outBuffer.length - 1 }
+  }
+  private def slotsOf(names: Seq[String]): Array[Int] = {
+    val slots = new Array[Int](names.length)
+    var i = 0
+    while (i < slots.length) { slots(i) = slotOf(names(i)); i += 1 }
+    slots
+  }
+
   /** A pre-aggregation serving a window: its value column (by name in the
     * request, by handle in the primary table's rows) and the features
-    * derived from its merged partial.
+    * derived from its merged partial, with their output slots.
     */
-  private final class Served(val valCol: String, val pa: PreAggTable, val features: Seq[Feature]) {
+  private final class Served(val valCol: String, val pa: PreAggTable, features: Seq[Feature]) {
     val col: OnlineTable.Column = primary.column(valCol)
+    val fns: Array[FeatureFn]   = new Array[FeatureFn](features.length)
+    val slots: Array[Int]       = new Array[Int](features.length)
+    locally { var i = 0; while (i < fns.length) { fns(i) = features(i).fn; slots(i) = slotOf(features(i).name); i += 1 } }
   }
 
   /** The §5.1 binding rule: count/sum/avg/min/max over a non-union window
@@ -123,20 +161,24 @@ final class RequestEngine(
     * the frame merged from `sources` (read slots: primary, then unions),
     * fed from `inputs`, the distinct columns the folds read.
     */
-  private final class WindowPlan(val w: WindowDef, sources: Array[Int], val served: Seq[Served],
+  private final class WindowPlan(val w: WindowDef, sources: Array[Int], val served: Array[Served],
                                  inputs: Array[Input], folds: Array[Fold]) {
-    def compute(req: Row, series: Array[TimeList[Array[Byte]]], out: OutBuilder): Unit = {
+    def compute(req: Row, series: Array[TimeList[Array[Byte]]], out: Array[Any]): Unit = {
       val t  = num(req(w.tsCol)).toLong
       val lo = t - w.rangeMs
-      if (served.nonEmpty) {
+      if (served.length > 0) {
         val key = String.valueOf(req(w.keyCol))
         val s   = series(sources(0))
-        served.foreach { b =>
+        var i = 0
+        while (i < served.length) {
+          val b = served(i)
           val p = preAggPartial(b, key, s, lo, t, req)
-          b.features.foreach(f => out += f.name -> fromPartial(f.fn, p))
+          var f = 0
+          while (f < b.fns.length) { out(b.slots(f)) = fromPartial(b.fns(f), p); f += 1 }
+          i += 1
         }
       }
-      if (folds.nonEmpty) foldFrame(req, series, lo, t, out)
+      if (folds.length > 0) foldFrame(req, series, lo, t, out)
     }
 
     /** Folds every raw feature of the window in one pass over its frame.
@@ -145,7 +187,7 @@ final class RequestEngine(
       * feeds it forward, which keeps the time list's tie order.
       */
     private def foldFrame(req: Row, series: Array[TimeList[Array[Byte]]], lo: Long, t: Long,
-                          out: OutBuilder): Unit = {
+                          out: Array[Any]): Unit = {
       var buf  = new Array[TsEntry[Array[Byte]]](16)
       var n    = 0
       val from = new Array[Int](sources.length)
@@ -195,7 +237,7 @@ final class RequestEngine(
       while (c < cells.length) { cells(c).load(req); c += 1 }
       feed()
       var f = 0
-      while (f < folds.length) { out += folds(f).name -> feeds(f).result; f += 1 }
+      while (f < folds.length) { out(folds(f).slot) = feeds(f).result; f += 1 }
     }
   }
 
@@ -210,29 +252,30 @@ final class RequestEngine(
       val bound   = fs.map(f => f -> bindingOf(f, w))
       val served  = bound.collect { case (f, Some((c, pa))) => (c, pa, f) }
         .groupBy(_._1).toSeq
-        .map { case (c, xs) => new Served(c, xs.head._2, xs.map(_._3)) }
+        .map { case (c, xs) => new Served(c, xs.head._2, xs.map(_._3)) }.toArray
       val inputs = scala.collection.mutable.ArrayBuffer.empty[Input]
       def input(col: String, as: Int): Int = {
         val i = inputs.indexWhere(in => in.col == col && in.as == as)
         if (i >= 0) i else { inputs += new Input(col, as, srcTables.map(_.column(col)).toArray); inputs.length - 1 }
       }
-      val folds = bound.collect { case (f, None) => foldOf(f, input) }.toArray
+      val folds = bound.collect { case (f, None) => foldOf(f, input, slotOf(f.name)) }.toArray
       Some(new WindowPlan(w, sources, served, inputs.toArray, folds))
     }
   }.toArray
 
-  private final class JoinPlan(val read: Int, val cols: IndexedSeq[OnlineTable.Column], val outNames: IndexedSeq[String])
-  private val joinPlans: Seq[JoinPlan] = spec.lastJoins.map { lj =>
+  private final class JoinPlan(val read: Int, val cols: Array[OnlineTable.Column], val slots: Array[Int])
+  private val joinPlans: Array[JoinPlan] = spec.lastJoins.map { lj =>
     requireIndexed(s"LAST JOIN ${lj.table}", lj.table, lj.keyCol, lj.tsCol)
-    new JoinPlan(readOf(lj.table, lj.keyCol), lj.valCols.map(tables(lj.table).column).toIndexedSeq,
-      lj.valCols.map(lj.prefix + _).toIndexedSeq)
-  }
+    new JoinPlan(readOf(lj.table, lj.keyCol), lj.valCols.map(tables(lj.table).column).toArray,
+      slotsOf(lj.valCols.map(lj.prefix + _)))
+  }.toArray
+  private val outNames: Array[String] = outBuffer.toArray
 
   // Each `Served` is one (window, column) a pre-aggregation serves; one that
   // serves none would be fed on every primary insert and never read.
-  if (windowPlans.foldLeft(0)(_ + _.served.size) < preAgg.size)
+  if (windowPlans.foldLeft(0)(_ + _.served.length) < preAgg.size)
     throw new IllegalArgumentException("pre-aggregations no request reads (undeclared or WINDOW UNION window, or no " +
-      "feature binds them): " + (preAgg.keySet -- windowPlans.flatMap(p => p.served.map(b => (p.w.name, b.valCol))))
+      "feature binds them): " + (preAgg.keySet -- windowPlans.flatMap(p => p.served.map(b => (p.w.name, b.valCol))).toSeq)
         .map { case (w, c) => s"$c over window $w" }.mkString(", "))
 
   /** Fails unless `table` is indexed by the columns `reader` reads it by, as offline does. Over every window and
@@ -268,8 +311,32 @@ final class RequestEngine(
 }
 
 object RequestEngine {
-  private type Row        = Map[String, Any]
-  private type OutBuilder = scala.collection.mutable.Builder[(String, Any), Row]
+  private type Row = Map[String, Any]
+
+  /** One response: the request's columns, then the features in `values`,
+    * one per slot, named by `names` and found through `index`. A feature
+    * shadows a request column of the same name, in lookups and in
+    * iteration. `updated` and `removed` return an ordinary `HashMap`.
+    */
+  private final class FeatureRow(req: Row, names: Array[String], index: java.util.HashMap[String, Integer],
+                                 values: Array[Any]) extends scala.collection.immutable.AbstractMap[String, Any] {
+    def get(key: String): Option[Any] = {
+      val i = index.get(key)
+      if (i != null) Some(values(i)) else req.get(key)
+    }
+    override def getOrElse[V1 >: Any](key: String, default: => V1): V1 = {
+      val i = index.get(key)
+      if (i != null) values(i) else req.getOrElse(key, default)
+    }
+    override def apply(key: String): Any = getOrElse(key, default(key))
+    override def contains(key: String): Boolean = index.containsKey(key) || req.contains(key)
+    override def size: Int = names.length + req.keysIterator.count(!index.containsKey(_))
+    def iterator: Iterator[(String, Any)] =
+      req.iterator.filter(kv => !index.containsKey(kv._1)) ++ names.indices.iterator.map(i => (names(i), values(i)))
+    def updated[V1 >: Any](key: String, value: V1): Map[String, V1] =
+      scala.collection.immutable.HashMap.from(this).updated(key, value)
+    def removed(key: String): Map[String, Any] = scala.collection.immutable.HashMap.from(this).removed(key)
+  }
 
   // How a fold reads its input column: as a number, a string or a boolean.
   private final val AsNum = 0
@@ -335,22 +402,22 @@ object RequestEngine {
     def result: Any = s.result
   }
 
-  /** A raw-folded feature: its output name and how to build its feed over
+  /** A raw-folded feature: its output slot and how to build its feed over
     * one request's cells.
     */
-  private final class Fold(val name: String, val feed: Array[Cell] => Feed)
+  private final class Fold(val slot: Int, val feed: Array[Cell] => Feed)
 
-  /** Compiles a feature's fold; `input(column, coercion)` gives the index of
-    * the cell it reads.
+  /** Compiles a feature's fold into output `slot`; `input(column,
+    * coercion)` gives the index of the cell it reads.
     */
-  private def foldOf(f: Feature, input: (String, Int) => Int): Fold = {
+  private def foldOf(f: Feature, input: (String, Int) => Int, slot: Int): Fold = {
     def num(c: String, make: () => AggCore.NumState[_]): Array[Cell] => Feed = {
       val i = input(c, AsNum); cells => new NumFeed(cells(i), make())
     }
     def str(c: String, make: () => AggCore.State[String, _]): Array[Cell] => Feed = {
       val i = input(c, AsStr); cells => new StrFeed(cells(i), make())
     }
-    new Fold(f.name, f.fn match {
+    new Fold(slot, f.fn match {
       case FeatureFn.Count                 => _ => new CountFeed
       case FeatureFn.Sum(c)                => num(c, () => new AggCore.SumState)
       case FeatureFn.Avg(c)                => num(c, () => new AggCore.AvgState)

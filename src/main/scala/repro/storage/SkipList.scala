@@ -111,6 +111,9 @@ final class TimeList[P] extends TimeListCounters {
   /** Most recent entry with ts <= `atOrBefore` (LAST JOIN's lookup). */
   def latest(atOrBefore: Long = Long.MaxValue): Option[TsEntry[P]] = Option(seek(atOrBefore))
 
+  /** As [[latest]], null when there is none: the request path's lookup. */
+  private[repro] def latestOrNull(atOrBefore: Long): TsEntry[P] = seek(atOrBefore)
+
   /** Batch-delete every entry with ts < cutoff (§7.2 "Out-of-Date Data
     * Removal"): cut each level's stale tail with one CAS, upper levels
     * first so no seek can jump into a cut tail.

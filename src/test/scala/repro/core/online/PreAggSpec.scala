@@ -155,6 +155,75 @@ class PreAggSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  test("a raw edge is scanned once when its finest bucket holds rows, and never when it holds none") {
+    val pa = new PreAggTable(Seq(10L, 100L))
+    val rows = scala.collection.mutable.ArrayBuffer.empty[(Long, Double)]
+    def add(t: Long): Unit = { pa.insert("k", t, 1.0); rows += ((t, 1.0)) }
+    (100L until 900L).foreach(add)
+    val calls = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
+    def query(lo: Long, hi: Long): PartialAcc = {
+      calls.clear()
+      pa.queryRows("k", lo, hi, (l, h, acc) => { calls += ((l, h)); rawScan(rows.toSeq)(l, h).foreach(r => acc.add(r._2)) })
+    }
+    // covered [60, 950): the edges [55, 59] and [950, 954] lie in the empty buckets 50 and 950
+    assert(query(55, 954).cnt == 800 && calls.isEmpty)
+    add(52) // bucket 50 holds a row, outside the edge
+    assert(query(55, 954).cnt == 800 && calls == Seq((55L, 59L)))
+    add(957)
+    assert(query(55, 954).cnt == 800 && calls.toSet == Set((55L, 59L), (950L, 954L)) && calls.size == 2)
+    add(58); add(951)
+    assert(query(55, 954).cnt == 802 && calls.size == 2)
+    // only the finest level covers: [920, 950), edges in the empty bucket 910 and in 950
+    assert(query(915, 958).cnt == 2 && calls == Seq((950L, 958L)))
+  }
+
+  test("property: queryRows equals a reference fold of the recorded rows, scanning only edges that hold rows") {
+    // Random level ladders; rows with nulls and negative ts, inserted in
+    // generated order; ranges random, empty (lo > hi), inside one finest
+    // bucket, or ending on bucket boundaries. Integral values keep sums exact.
+    val levelsGen = for {
+      w0 <- Gen.oneOf(1L, 2L, 5L, 10L, 60L)
+      ms <- Gen.choose(0, 2).flatMap(n => Gen.listOfN(n, Gen.oneOf(2L, 3L, 10L)))
+    } yield ms.scanLeft(w0)(_ * _)
+    val row  = Gen.zip(Gen.chooseNum(-3000L, 3000L), Gen.option(Gen.chooseNum(-50, 50).map(_.toDouble)))
+    val rows = Gen.choose(0, 300).flatMap(n => Gen.listOfN(n, row))
+    val p = Prop.forAll(levelsGen, rows, Gen.listOfN(30, Gen.zip(Gen.choose(0, 3), Gen.chooseNum(-3500L, 3500L),
+        Gen.chooseNum(-3500L, 3500L)))) { (levels, rows, qs) =>
+      val pa = new PreAggTable(levels)
+      rows.foreach { case (t, v) => v.fold(pa.insertNull("k", t))(pa.insert("k", t, _)) }
+      val w0 = levels.head
+      def bucketHolds(t: Long): Boolean = rows.exists(r => math.floorDiv(r._1, w0) == math.floorDiv(t, w0))
+      qs.forall { case (shape, a, b) =>
+        val (lo, hi) = shape match {
+          case 0 => (a, b)                                                            // random, maybe lo > hi
+          case 1 => val s = math.floorDiv(a, w0) * w0; (s + (b % w0).abs / 2, s + w0 - 1) // inside one bucket
+          case 2 => (math.floorDiv(a, w0) * w0, math.floorDiv(b, w0) * w0 - 1)        // both ends on boundaries
+          case _ => (math.floorDiv(a, w0) * w0 - 1, math.floorDiv(b, w0) * w0)        // both ends one past
+        }
+        val calls = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
+        val got = pa.queryRows("k", lo, hi, (l, h, acc) => {
+          calls += ((l, h))
+          rows.foreach { case (t, v) => if (t >= l && t <= h) v.fold(acc.addNull())(acc.add) }
+        })
+        val want = new PartialAcc
+        rows.foreach { case (t, v) => if (t >= lo && t <= hi) v.fold(want.addNull())(want.add) }
+        // the finest cover [cs, ce); each edge is scanned once when its bucket holds rows
+        val cs = math.floorDiv(lo + w0 - 1, w0) * w0
+        val ce = math.floorDiv(hi + 1, w0) * w0
+        val wantCalls =
+          if (lo > hi) Nil
+          else if (rows.isEmpty || cs >= ce) Seq((lo, hi))
+          else Seq((lo, cs - 1)).filter(_ => lo < cs && bucketHolds(lo)) ++
+            Seq((ce, hi)).filter(_ => ce <= hi && bucketHolds(ce))
+        val edgesOk = calls == wantCalls
+        got.rows == want.rows && got.cnt == want.cnt && got.sum == want.sum &&
+          (want.cnt == 0 || (got.min == want.min && got.max == want.max)) && edgesOk
+      }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300), p)
+    assert(res.passed, res.status.toString)
+  }
+
   test("concurrent inserts and queries on one key see whole rows") {
     val pa = new PreAggTable(Seq(10L, 100L))
     val n = 20000

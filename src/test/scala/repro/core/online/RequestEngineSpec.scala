@@ -326,4 +326,99 @@ class RequestEngineSpec extends AnyFunSuite {
     }
     engine(("wm", "price"))
   }
+
+  // ------------------------------------------------------------ feature row
+
+  private val outNames = Seq("cnt", "price_sum", "price_avg", "top_cat", "dd", "p_segment")
+
+  /** Asserts `resp` is, as a map, what `req ++ features` builds. */
+  private def assertSameMap(resp: Map[String, Any], req: Map[String, Any]): Unit = {
+    val want = req ++ outNames.map(n => n -> resp(n))
+    assert(resp == want && want == resp, s"$resp vs $want")
+    assert(resp.hashCode == want.hashCode)
+    assert(resp.size == want.size && resp.keySet == want.keySet)
+    assert(resp.iterator.size == want.size && resp.toMap == want)
+    want.foreach { case (k, v) => assert(resp.contains(k) && resp.get(k) == Some(v) && resp(k) == v) }
+  }
+
+  test("the response is the map req ++ features builds, for random requests") {
+    val pa = new PreAggTable(Seq(100L, 1000L))
+    val (eng, _) = mkEngine(Map(("w10s", "price") -> pa))
+    val rnd = new scala.util.Random(41)
+    (0 until 300).foreach { i =>
+      val u = rnd.nextInt(5).toLong
+      rnd.nextInt(4) match {
+        case 0 => eng.insert("orders", action(u, i * 50L, rnd.nextInt(100).toDouble, s"c${rnd.nextInt(3)}"))
+        case 1 => eng.insert("profile", Map("userid" -> u, "pts" -> i * 50L, "segment" -> s"s${rnd.nextInt(3)}"))
+        case _ => eng.insert("actions", action(u, i * 50L, rnd.nextInt(100).toDouble, s"c${rnd.nextInt(3)}"))
+      }
+    }
+    (0 until 200).foreach { i =>
+      val u = rnd.nextInt(7).toLong
+      val req = rnd.nextInt(3) match {
+        case 0 => action(u, rnd.nextInt(16000).toLong, rnd.nextInt(100).toDouble, "c1")
+        case 1 => Map[String, Any]("userid" -> u, "ts" -> rnd.nextInt(16000).toLong, "price" -> null,
+          "category" -> null, "extra" -> i)
+        case _ => action(u, rnd.nextInt(16000).toLong, 1.0, "c2") ++ (0 until 6).map(c => s"col$c" -> c)
+      }
+      assertSameMap(eng.request(req), req)
+    }
+  }
+
+  test("a null feature value is present under its key") {
+    val (eng, _) = mkEngine()
+    val out = eng.request(Map("userid" -> 1L, "ts" -> 1000L, "price" -> null, "category" -> null))
+    Seq("price_sum", "price_avg", "dd", "p_segment").foreach { n =>
+      assert(out.contains(n) && out.get(n) == Some(null) && out.getOrElse(n, 0) == null, n)
+    }
+    assert(out.collect { case (k, null) => k }.toSet == Set("price", "category", "price_sum", "price_avg", "dd", "p_segment"))
+    assert(!out.contains("nope") && out.get("nope").isEmpty && out.getOrElse("nope", 7) == 7)
+    intercept[NoSuchElementException](out("nope"))
+  }
+
+  test("a feature that shares a name with a request column wins, in lookups and in iteration") {
+    val (eng, _) = mkEngine()
+    eng.insert("actions", action(1, 900, 20.0, "shoes"))
+    val req = action(1, 1000, 30.0, "shoes") ++ Map("cnt" -> "mine", "p_segment" -> "mine", "note" -> "kept")
+    val out = eng.request(req)
+    assert(out("cnt") == 2L && out.get("cnt") == Some(2L) && out("p_segment") == null && out("note") == "kept")
+    assert(out.toSeq.count(_._1 == "cnt") == 1 && out.toSeq.contains("cnt" -> 2L))
+    assert(out.size == req.size + outNames.size - 2)
+    assertSameMap(out, req)
+  }
+
+  test("updated and removed give ordinary maps with the change applied") {
+    val (eng, _) = mkEngine()
+    val req = action(1, 1000, 5.0, "a")
+    val out = eng.request(req)
+    val up = out.updated("x", 1).updated("cnt", 9L)
+    assert(up.isInstanceOf[scala.collection.immutable.HashMap[_, _]])
+    assert(up == (req ++ outNames.map(n => n -> out(n))) + ("x" -> 1) + ("cnt" -> 9L))
+    val rm = out.removed("cnt").removed("userid")
+    assert(rm.isInstanceOf[scala.collection.immutable.HashMap[_, _]])
+    assert(!rm.contains("cnt") && !rm.contains("userid") && rm.size == out.size - 2 && rm("price_sum") == 5.0)
+    assert(out - "nope" == out && (out + ("ts" -> 0L))("ts") == 0L)
+  }
+
+  test("once insert returns, a request sees the row in every pre-aggregated feature, inside and at each edge") {
+    val spec = FeatureSpec("t", Seq(WindowDef("w", "k", "ts", 10000L)),
+      Seq(Feature("n", FeatureFn.Count, "w"), Feature("s", FeatureFn.Sum("v"), "w"),
+          Feature("lo", FeatureFn.Min("v"), "w"), Feature("hi", FeatureFn.Max("v"), "w")))
+    val pa  = new PreAggTable(Seq(100L, 1000L))
+    val eng = new RequestEngine(spec, Map("t" -> new OnlineTable("k", "ts")), Map(("w", "v") -> pa))
+    // A request at 20050 reads [10050, 20050]: covered [10100, 20000),
+    // left edge [10050, 10099] in bucket 10000, right edge [20000, 20050]
+    // in bucket 20000. Each row is the first of its finest bucket.
+    val req = probeRow(20050, 0.0)
+    var (n, sum, lo, hi) = (1L, 0.0, 0.0, 0.0)
+    Seq(10060L -> -3.0, 20010L -> 7.0, 15000L -> 2.0, 10099L -> -5.0, 20050L -> 9.0, 10100L -> 1.0).foreach {
+      case (ts, v) =>
+        eng.insert("t", probeRow(ts, v))
+        n += 1; sum += v; lo = math.min(lo, v); hi = math.max(hi, v)
+        val out = eng.request(req)
+        assert(out("n") == n && out("s") == sum && out("lo") == lo && out("hi") == hi, s"after the row at $ts: $out")
+    }
+    eng.insert("t", probeRow(10040, 100.0)) // in the left edge's bucket, before the window
+    assert(eng.request(req)("n") == n && eng.request(req)("hi") == hi)
+  }
 }
