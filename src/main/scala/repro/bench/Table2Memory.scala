@@ -17,8 +17,8 @@ import repro.storage.{FieldType, MemoryModel, RowCodec}
   *    Redis model.
   *
   * [[live]] loads the click sample into an [[OnlineTable]] keyed by `ip`
-  * and reads the bytes the store holds, next to the model's figures for
-  * the same rows and keys.
+  * and reads the row bytes and the heap the store holds, next to the
+  * model's figures for the same rows and keys.
   *
   * Unique-key counts follow the TalkingData regime: ips drawn zipf(1.05)
   * from a 278k universe; for n >= 10M rows the expected-unique closed form
@@ -68,33 +68,72 @@ object Table2Memory {
     }
   }
 
-  /** A live store's row bytes beside the model: `encodedBytes` is what the
-    * [[OnlineTable]] holds, `modelRowBytes` the §7.1 size of the same rows
-    * by `RowCodec.sizeOf` over [[clickSchema]], and `modelTableBytes` the
-    * §8.1 table model (rows plus key index and skiplist nodes) for them.
+  /** A live store beside the model: `encodedBytes` is the row bytes the
+    * [[OnlineTable]] holds, `retainedBytes` the heap the whole table
+    * retains (rows, time lists, key index), `modelRowBytes` the §7.1 size
+    * of the same rows by `RowCodec.sizeOf` over [[clickSchema]], and
+    * `modelTableBytes` the §8.1 table model (rows plus key index and
+    * skiplist nodes) for them.
     */
-  final case class LiveRow(tuples: Long, keys: Long, encodedBytes: Long, modelRowBytes: Long,
-                           modelTableBytes: Long)
+  final case class LiveRow(tuples: Long, keys: Long, encodedBytes: Long, retainedBytes: Long,
+                           modelRowBytes: Long, modelTableBytes: Long)
 
+  /** Loads the click sample into an [[OnlineTable]] keyed by `ip`. The
+    * retained heap is the settled used heap after the load less the one
+    * before it; one throw-away load runs first, so the classes and code it
+    * links are not counted. Key strings are the sample's own, so retained
+    * bytes leave out the key bytes the model adds per key.
+    */
   def live(sampleSize: Int = 100000, nIps: Int = 278000, alpha: Double = 1.05): LiveRow = {
     val codec = new RowCodec(clickSchema)
     val sample = LocalGen.clicks(sampleSize, nIps, alpha)
-    val table = new OnlineTable("ip", "click_time")
-    sample.foreach { c =>
-      table.put(Map("ip" -> c.ip, "app" -> c.app, "device" -> c.device, "os" -> c.os, "channel" -> c.channel,
-        "click_time" -> c.clickTime, "is_attributed" -> c.isAttributed))
+    def load(): OnlineTable = {
+      val table = new OnlineTable("ip", "click_time")
+      sample.foreach { c =>
+        table.put(Map("ip" -> c.ip, "app" -> c.app, "device" -> c.device, "os" -> c.os, "channel" -> c.channel,
+          "click_time" -> c.clickTime, "is_attributed" -> c.isAttributed))
+      }
+      table
     }
+    load()
+    val heap0 = settledHeap()
+    val table = load()
+    val retained = settledHeap() - heap0
     val modelRowBytes = sample.map(c => codec.sizeOf(values(c)).toLong).sum
     val model = MemoryModel.tableBytes(MemoryModel.TableSpec(
       MemoryModel.Absolute, nRows = sampleSize, avgRowLen = (modelRowBytes / sampleSize).toInt,
       indexes = Seq(MemoryModel.IndexSpec(table.keys, sample.map(_.ip.length).sum / sampleSize))))
-    LiveRow(table.rows, table.keys, table.encodedBytes, modelRowBytes, model)
+    LiveRow(table.rows, table.keys, table.encodedBytes, retained, modelRowBytes, model)
   }
 
-  def renderLive(r: LiveRow): String =
+  /** Used heap once a full collection frees under 64 KB more than the one
+    * before (at most ten collections).
+    */
+  private def settledHeap(): Long = {
+    val mem = java.lang.management.ManagementFactory.getMemoryMXBean
+    var used = Long.MaxValue
+    var last = 0L
+    var n = 0
+    while (n < 10 && (n < 2 || last - used >= (1 << 16))) {
+      last = used
+      System.gc()
+      used = mem.getHeapMemoryUsage.getUsed
+      n += 1
+    }
+    used
+  }
+
+  def renderLive(r: LiveRow): String = {
+    val overhead = r.retainedBytes - r.encodedBytes
     f"Live OnlineTable, ${r.tuples}%d clicks over ${r.keys}%d ips: ${r.encodedBytes}%d encoded row bytes " +
       f"(${r.encodedBytes.toDouble / r.tuples}%.2f B/row); RowCodec model ${r.modelRowBytes}%d B; " +
-      f"table model (8.1) ${r.modelTableBytes}%d B\n"
+      f"table model (8.1) ${r.modelTableBytes}%d B\n" +
+      f"  retained heap ${r.retainedBytes}%d B (${r.retainedBytes.toDouble / r.keys}%.1f B/key, " +
+      f"${r.retainedBytes.toDouble / r.tuples}%.1f B/row); beyond the row bytes ${overhead}%d B " +
+      f"(${overhead.toDouble / r.keys}%.1f B/key, ${overhead.toDouble / r.tuples}%.1f B/row); " +
+      f"model overhead ${MemoryModel.PerKeyOverhead}%d B/key + ${MemoryModel.Absolute.C}%d B/row = " +
+      f"${MemoryModel.PerKeyOverhead * r.keys + MemoryModel.Absolute.C * r.tuples}%d B\n"
+  }
 
   def render(rows: Seq[MemRow]): String = {
     val sb = new StringBuilder

@@ -173,19 +173,4 @@ object AggCore {
     }
     def result: java.lang.Double = if (any) num / den else null
   }
-
-  // -------------------------------------------------------- scalar helpers
-
-  /** split_by_key("a:1,b:2", ",", ":") == Seq("a", "b") (§4.1 (4)). No
-    * spec kind calls it yet: it waits for scalar features that both engines
-    * evaluate (ROADMAP item 11).
-    */
-  def splitByKey(s: String, delim: String, kvDelim: String): Seq[String] =
-    if (s == null) null
-    else s.split(java.util.regex.Pattern.quote(delim), -1).toSeq
-      .filter(_.nonEmpty)
-      .map { seg =>
-        val i = seg.indexOf(kvDelim)
-        if (i < 0) seg else seg.substring(0, i)
-      }
 }

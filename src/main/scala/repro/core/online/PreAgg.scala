@@ -148,11 +148,13 @@ object PreAggTable {
   /** One key's buckets at one level, sorted by bucket start, in one array
     * of six longs per bucket: start, rows, cnt, and the bits of sum, min
     * and max (one array, so a bucket costs one allocation as the level
-    * grows). Guarded by the key's lock.
+    * grows). It starts with room for one bucket and grows by half, as
+    * `ArrayList` does, since most keys hold few buckets. Guarded by the
+    * key's lock.
     */
   private final class Level {
     var size = 0
-    private var buckets = new Array[Long](6 * 2)
+    private var buckets = new Array[Long](6)
 
     private def start(i: Int): Long = buckets(6 * i)
     private def dbl(j: Int): Double = java.lang.Double.longBitsToDouble(buckets(j))
@@ -194,7 +196,7 @@ object PreAggTable {
 
     /** Inserts an empty bucket `b` at index `i`; returns `i`. */
     private def open(i: Int, b: Long): Int = {
-      if (6 * size == buckets.length) buckets = java.util.Arrays.copyOf(buckets, 2 * buckets.length)
+      if (6 * size == buckets.length) buckets = java.util.Arrays.copyOf(buckets, 6 * (size + math.max(1, size >> 1)))
       System.arraycopy(buckets, 6 * i, buckets, 6 * (i + 1), 6 * (size - i))
       val o = 6 * i
       buckets(o) = b; buckets(o + 1) = 0; buckets(o + 2) = 0

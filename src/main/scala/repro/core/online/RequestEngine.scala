@@ -206,8 +206,12 @@ final class RequestEngine(
         end(k) = n
         k += 1
       }
-      val cells = inputs.map(new Cell(_))
-      val feeds = folds.map(_.feed(cells))
+      val cells = new Array[Cell](inputs.length)
+      var i = 0
+      while (i < cells.length) { cells(i) = new Cell(inputs(i)); i += 1 }
+      val feeds = new Array[Feed](folds.length)
+      i = 0
+      while (i < feeds.length) { feeds(i) = folds(i).feed(cells); i += 1 }
       def feed(): Unit = { var f = 0; while (f < feeds.length) { feeds(f).row(); f += 1 } }
       var done = false
       while (!done) {

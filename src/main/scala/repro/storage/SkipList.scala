@@ -1,7 +1,6 @@
 package repro.storage
 
 import java.util.concurrent.{ConcurrentHashMap, ThreadLocalRandom}
-import java.util.concurrent.atomic.{AtomicReference, AtomicReferenceArray}
 import scala.jdk.CollectionConverters._
 
 /** One stored tuple: timestamp plus an opaque payload (the online tables
@@ -27,21 +26,29 @@ trait TsEntry[P] {
   * expired nodes are contiguous at the tail because the list is
   * time-ordered).
   */
-final class TimeList[P] extends TimeListCounters {
+final class TimeList[P] extends TimeListHead {
   import TimeList._
 
-  private val head = new Node[P](Long.MaxValue, null.asInstanceOf[P], new AtomicReferenceArray(MaxLevel - 1))
+  // The list is its own head: its level-0 link and its tower (installed
+  // with the first node taller than one level) come from `TimeListHead`.
   // Levels in use (`top`) are raised before a taller node links and never
   // lowered, so searches and trims that start at `top - 1` see every
   // linked level.
 
-  /** Last node at `level` with ts > `ts`, searching down from the top. */
-  private def predAt(ts: Long, level: Int): Node[P] = {
-    var x = head
+  /** `x`'s successor at level `l`: every link but the list itself is a
+    * node.
+    */
+  private def nextAt(x: SkipLink, l: Int): Node[P] = x.next(l).asInstanceOf[Node[P]]
+
+  /** Last link at `level` (the list itself, or a node) with ts > `ts`,
+    * searching down from the top.
+    */
+  private def predAt(ts: Long, level: Int): SkipLink = {
+    var x: SkipLink = this
     var l = math.max(top() - 1, level)
     while (l >= level) {
-      var n = x.next(l)
-      while (n != null && n.ts > ts) { x = n; n = x.next(l) }
+      var n = nextAt(x, l)
+      while (n != null && n.ts > ts) { x = n; n = nextAt(x, l) }
       l -= 1
     }
     x
@@ -52,12 +59,12 @@ final class TimeList[P] extends TimeListCounters {
     * that slipped in meanwhile makes it re-walk rather than link out of
     * order.
     */
-  private def linkAt(node: Node[P], l: Int, from: Node[P]): Unit = {
+  private def linkAt(node: Node[P], l: Int, from: SkipLink): Unit = {
     var pred = from
     var done = false
     while (!done) {
-      var succ = pred.next(l)
-      while (succ != null && succ.ts > node.ts) { pred = succ; succ = pred.next(l) }
+      var succ = nextAt(pred, l)
+      while (succ != null && succ.ts > node.ts) { pred = succ; succ = nextAt(pred, l) }
       node.setNext(l, succ)
       done = pred.casNext(l, succ, node)
     }
@@ -65,13 +72,13 @@ final class TimeList[P] extends TimeListCounters {
 
   def insert(ts: Long, payload: P): Unit = {
     val h = randomHeight()
-    val node = new Node[P](ts, payload, if (h > 1) new AtomicReferenceArray(h - 1) else null)
-    val first = head.get()
+    val node = new Node[P](ts, payload, if (h > 1) new Array[SkipLink](h - 1) else null)
+    val first = nextAt(this, 0)
     val newest = first == null || first.ts <= ts
     raiseTop(h)
     var l = 0
     while (l < h) {
-      linkAt(node, l, if (newest) head else predAt(ts, l))
+      linkAt(node, l, if (newest) this else predAt(ts, l))
       l += 1
     }
     addCount(1)
@@ -79,24 +86,24 @@ final class TimeList[P] extends TimeListCounters {
 
   /** First entry with ts <= `t`, or null. */
   private def seek(t: Long): Node[P] = {
-    val first = head.get()
+    val first = nextAt(this, 0)
     if (first == null || first.ts <= t) first
     else {
-      var n = predAt(t, 0).get()
-      while (n != null && n.ts > t) n = n.get()
+      var n = nextAt(predAt(t, 0), 0)
+      while (n != null && n.ts > t) n = nextAt(n, 0)
       n
     }
   }
 
   /** Newest-first iterator. */
-  def iterator: Iterator[TsEntry[P]] = walk(head.get(), Long.MinValue)
+  def iterator: Iterator[TsEntry[P]] = walk(nextAt(this, 0), Long.MinValue)
 
   private def walk(from: Node[P], lo: Long): Iterator[TsEntry[P]] = new Iterator[TsEntry[P]] {
     private var cur = if (from != null && from.ts >= lo) from else null
     def hasNext: Boolean = cur != null
     def next(): TsEntry[P] = {
       val r = cur
-      val n = cur.get()
+      val n = nextAt(cur, 0)
       cur = if (n != null && n.ts >= lo) n else null
       r
     }
@@ -126,7 +133,7 @@ final class TimeList[P] extends TimeListCounters {
       val tail = cutAt(0, cutoff)
       var n = 0
       var c = tail
-      while (c != null) { n += 1; c = c.get() }
+      while (c != null) { n += 1; c = nextAt(c, 0) }
       addCount(-n)
       n
     }
@@ -139,8 +146,8 @@ final class TimeList[P] extends TimeListCounters {
     var cut: Node[P] = null
     var done = false
     while (!done) {
-      var succ = pred.next(l)
-      while (succ != null && succ.ts >= cutoff) { pred = succ; succ = pred.next(l) }
+      var succ = nextAt(pred, l)
+      while (succ != null && succ.ts >= cutoff) { pred = succ; succ = nextAt(pred, l) }
       done = succ == null || pred.casNext(l, succ, null)
       if (done) cut = succ
       // else a concurrent insert moved the boundary; re-walk from pred
@@ -149,24 +156,37 @@ final class TimeList[P] extends TimeListCounters {
   }
 
   def size: Long = count()
+
+  /** Links missing above level 0: for each upper level, the nodes tall
+    * enough for it less the nodes its walk reaches. 0 whenever no insert
+    * is running; a lost link would only slow searches, so tests check it
+    * here.
+    */
+  private[storage] def lostLinks: Int = {
+    var lost = 0
+    var l = 1
+    while (l < top()) {
+      var n = nextAt(this, 0)
+      while (n != null) { if (n.up() != null && n.up().length >= l) lost += 1; n = nextAt(n, 0) }
+      n = nextAt(this, l)
+      while (n != null) { lost -= 1; n = nextAt(n, l) }
+      l += 1
+    }
+    lost
+  }
 }
 
 object TimeList {
-  private val MaxLevel = 16
-
   /** A list node is its own entry: ts and payload inline, the level-0
-    * link in the node itself, and links for levels 1+ only on nodes
-    * taller than one level.
+    * link in the node itself, and a plain array of links for levels 1+
+    * only on nodes taller than one level (`final`, unlike the list's).
     */
-  private final class Node[P](val ts: Long, val payload: P, up: AtomicReferenceArray[Node[P]])
-      extends AtomicReference[Node[P]] with TsEntry[P] {
-    def next(l: Int): Node[P] = if (l == 0) get() else up.get(l - 1)
-    def setNext(l: Int, n: Node[P]): Unit = if (l == 0) set(n) else up.set(l - 1, n)
-    def casNext(l: Int, expect: Node[P], update: Node[P]): Boolean =
-      if (l == 0) compareAndSet(expect, update) else up.compareAndSet(l - 1, expect, update)
+  private final class Node[P](val ts: Long, val payload: P, tower: Array[SkipLink])
+      extends SkipLink with TsEntry[P] {
+    override def up(): Array[SkipLink] = tower
   }
 
-  /** Level count with P(height > k) = 4^-k, capped at MaxLevel. */
+  /** Level count with P(height > k) = 4^-k, capped at `MAX_LEVEL` (16). */
   private def randomHeight(): Int =
     1 + (Integer.numberOfTrailingZeros(ThreadLocalRandom.current().nextInt() | (1 << 30)) >> 1)
 }

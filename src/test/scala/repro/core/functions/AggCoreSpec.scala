@@ -206,24 +206,4 @@ class AggCoreSpec extends AnyFunSuite {
       else math.abs(s.result - xs.sum) < 1e-6 * math.max(1.0, math.abs(xs.sum))
     })
   }
-
-  // ---------------------------------------------------------------- scalars
-
-  test("splitByKey extracts keys from key-value segments") {
-    assert(splitByKey("a:1,b:2,c:3", ",", ":") == Seq("a", "b", "c"))
-  }
-
-  test("splitByKey keeps segments without the kv delimiter whole") {
-    assert(splitByKey("plain,b:2", ",", ":") == Seq("plain", "b"))
-  }
-
-  test("splitByKey drops empty segments") {
-    assert(splitByKey("a:1,,b:2,", ",", ":") == Seq("a", "b"))
-  }
-
-  test("splitByKey of null is null") { assert(splitByKey(null, ",", ":") == null) }
-
-  test("splitByKey treats delimiters literally (regex metachars)") {
-    assert(splitByKey("a=1|b=2", "|", "=") == Seq("a", "b"))
-  }
 }

@@ -155,6 +155,28 @@ class PreAggSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  test("an older row opening a bucket inside a full level array, at every size from 1 to 20, keeps queries exact") {
+    // the finest level holds n buckets 20, 40, .., 20n (a full array at
+    // sizes 1, 2, 3, 4, 6, 9, 13 and 19); one older row then opens bucket
+    // 20 * at + 10, before each of them in turn (or after the last), and
+    // every range must still fold like the reference
+    val levels = Seq(10L, 20L)
+    for (n <- 1 to 20; at <- 0 to n) {
+      val pa = new PreAggTable(levels)
+      val rows = scala.collection.mutable.ArrayBuffer.empty[(Long, Double)]
+      def add(t: Long, v: Double): Unit = { pa.insert("k", t, v); rows += ((t, v)) }
+      (1 to n).foreach(b => add(20L * b + 3, b.toDouble))
+      add(20L * at + 15, -1.0 * at)
+      if (at < n) add(20L * (n + 1) + 3, 100.0) // the level keeps growing after the shift
+      val data = rows.toSeq
+      assert(pa.bucketCount == levels.map(w => data.map(r => math.floorDiv(r._1, w)).distinct.size.toLong).sum)
+      val edges = -5L to 20L * (n + 2) by 5L
+      for (lo <- edges; hi <- edges if lo <= hi)
+        assertSame(pa.query("k", lo, hi, rawScan(data)), reference(data, lo, hi))
+      assert(pa.query("k", Long.MinValue / 2, Long.MaxValue / 2, rawScan(data)).cnt == data.size)
+    }
+  }
+
   test("a raw edge is scanned once when its finest bucket holds rows, and never when it holds none") {
     val pa = new PreAggTable(Seq(10L, 100L))
     val rows = scala.collection.mutable.ArrayBuffer.empty[(Long, Double)]

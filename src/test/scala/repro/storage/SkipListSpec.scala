@@ -1,6 +1,6 @@
 package repro.storage
 
-import java.util.concurrent.{ConcurrentLinkedQueue, CyclicBarrier}
+import java.util.concurrent.{ConcurrentLinkedQueue, CyclicBarrier, TimeUnit}
 import java.util.concurrent.atomic.AtomicBoolean
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
@@ -142,6 +142,42 @@ class SkipListSpec extends AnyFunSuite {
     assert(errors.isEmpty, errors.asScala.take(5).mkString("; "))
     assert(tl.size == 4L * perThread)
     assert(tl.iterator.map(_.ts).toSeq == ((4L * perThread - 1) to 0L by -1L))
+  }
+
+  test("timelist: 8 threads racing into fresh lists install each head tower once, losing no link") {
+    // 64 rows per list: a list gets no node taller than one level with
+    // probability (3/4)^64, so every list installs its head tower while
+    // the other threads insert into it
+    val lists = 300
+    val threads = 8
+    val perThread = 8
+    val tls = Array.fill(lists)(new TimeList[Int])
+    val rnd = new Random(7)
+    val rows = Array.fill(lists, threads, perThread)(rnd.nextLong(100)) // out of order, with ties
+    val start = new CyclicBarrier(threads)
+    val errors = new ConcurrentLinkedQueue[Throwable]()
+    val workers = (0 until threads).map { t =>
+      new Thread(() =>
+        try (0 until lists).foreach { l =>
+          start.await(30, TimeUnit.SECONDS)
+          (0 until perThread).foreach(i => tls(l).insert(rows(l)(t)(i), t * perThread + i))
+        } catch { case e: Throwable => errors.add(e) })
+    }
+    workers.foreach(_.start()); workers.foreach(_.join())
+    assert(errors.isEmpty, errors.asScala.take(3).mkString("; "))
+    (0 until lists).foreach { l =>
+      val tl = tls(l)
+      val want = (for (t <- 0 until threads; i <- 0 until perThread) yield (rows(l)(t)(i), t * perThread + i)).sorted
+      val got = pairs(tl.scan(Long.MinValue, Long.MaxValue))
+      assert(tl.size == want.size && got.sorted == want, s"list $l lost or duplicated a row")
+      assert(got.map(_._1) == got.map(_._1).sorted(Ordering[Long].reverse), s"list $l out of order")
+      assert(tl.top() > 1, s"list $l has no tall node")
+      assert(tl.lostLinks == 0, s"list $l lost ${tl.lostLinks} upper-level links")
+      want.map(_._1).distinct.foreach { ts =>
+        assert(tl.latest(ts).map(_.ts).contains(ts), s"list $l: latest($ts) missed")
+        assert(tl.latest(ts - 1).map(_.ts) == want.map(_._1).filter(_ < ts).maxOption, s"list $l: latest(${ts - 1})")
+      }
+    }
   }
 
   // ---------------------------------------------------- TimeSeriesStore
