@@ -109,7 +109,7 @@ object Table2Memory {
   /** Used heap once a full collection frees under 64 KB more than the one
     * before (at most ten collections).
     */
-  private def settledHeap(): Long = {
+  private[bench] def settledHeap(): Long = {
     val mem = java.lang.management.ManagementFactory.getMemoryMXBean
     var used = Long.MaxValue
     var last = 0L

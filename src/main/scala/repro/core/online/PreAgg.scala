@@ -60,11 +60,13 @@ final class PreAggTable(val levels: Seq[Long]) {
   private def record(key: String, ts: Long, v: Double, isNull: Boolean): Unit = {
     var agg = state.get(key)
     if (agg == null) agg = state.computeIfAbsent(key, _ => Array.fill(widths.length)(new PreAggTable.Level))
+    // Coarsest level first: its bucket counts the most rows, so a bucket
+    // full of rows throws before any level has changed.
     agg.synchronized {
-      var i = 0
-      while (i < widths.length) {
+      var i = widths.length - 1
+      while (i >= 0) {
         agg(i).add(math.floorDiv(ts, widths(i)) * widths(i), v, isNull)
-        i += 1
+        i -= 1
       }
     }
   }
@@ -145,20 +147,32 @@ final class PreAggTable(val levels: Seq[Long]) {
 
 object PreAggTable {
 
-  /** One key's buckets at one level, sorted by bucket start, in one array
-    * of six longs per bucket: start, rows, cnt, and the bits of sum, min
-    * and max (one array, so a bucket costs one allocation as the level
-    * grows). It starts with room for one bucket and grows by half, as
-    * `ArrayList` does, since most keys hold few buckets. Guarded by the
-    * key's lock.
+  /** Row count of a one-row bucket, in a meta word's high 32 bits. */
+  private final val OneRow = 1L << 32
+  /** The most rows a bucket counts. */
+  private final val MaxRows = 0xFFFFFFFFL
+
+  /** One key's buckets at one level, sorted by bucket start, three longs
+    * per bucket: its start, a meta word and the bits of its sum. The meta
+    * word holds the row count in its high 32 bits. Most buckets hold one
+    * row, and then the low bits are its non-null count (0 or 1) and the
+    * sum is the row's value, which is also its min and max. When a bucket
+    * takes its second row, its low bits index three longs in `side`: the
+    * non-null count and the bits of min and max, and its sum goes on as a
+    * running sum from that first value. `side` is allocated when a bucket
+    * first takes a second row. Both arrays start with room for one entry
+    * and grow by half, as `ArrayList` does, since most keys hold few
+    * buckets and most buckets hold one row. Guarded by the key's lock.
     */
   private final class Level {
     var size = 0
-    private var buckets = new Array[Long](6)
+    private var buckets = new Array[Long](3)
+    private var side = Array.emptyLongArray
+    private var sideSize = 0
 
-    private def start(i: Int): Long = buckets(6 * i)
-    private def dbl(j: Int): Double = java.lang.Double.longBitsToDouble(buckets(j))
-    private def setDbl(j: Int, v: Double): Unit = buckets(j) = java.lang.Double.doubleToRawLongBits(v)
+    private def start(i: Int): Long = buckets(3 * i)
+    private def dbl(a: Array[Long], j: Int): Double = java.lang.Double.longBitsToDouble(a(j))
+    private def setDbl(a: Array[Long], j: Int, v: Double): Unit = a(j) = java.lang.Double.doubleToRawLongBits(v)
 
     /** First bucket index at or after `from` with start >= `b` (size when
       * there is none).
@@ -184,39 +198,77 @@ object PreAggTable {
           val j = lowerBound(b, 0)
           if (start(j) == b) j else open(j, b)
         }
-      val o = 6 * i
-      buckets(o + 1) += 1
-      if (!isNull) {
-        buckets(o + 2) += 1
-        setDbl(o + 3, dbl(o + 3) + v)
-        if (v < dbl(o + 4)) setDbl(o + 4, v)
-        if (v > dbl(o + 5)) setDbl(o + 5, v)
+      val o = 3 * i
+      val rows = buckets(o + 1) >>> 32
+      if (rows == 0) {
+        if (!isNull) { buckets(o + 1) = OneRow | 1L; setDbl(buckets, o + 2, v) }
+        else buckets(o + 1) = OneRow
+      } else {
+        if (rows == MaxRows)
+          throw new IllegalStateException(s"pre-aggregation bucket at $b already counts $MaxRows rows, the most a bucket holds")
+        val s = if (rows == 1) promote(o) else 3 * buckets(o + 1).toInt
+        buckets(o + 1) += OneRow
+        if (!isNull) {
+          side(s) += 1
+          setDbl(buckets, o + 2, dbl(buckets, o + 2) + v)
+          if (v < dbl(side, s + 1)) setDbl(side, s + 1, v)
+          if (v > dbl(side, s + 2)) setDbl(side, s + 2, v)
+        }
       }
     }
 
     /** Inserts an empty bucket `b` at index `i`; returns `i`. */
     private def open(i: Int, b: Long): Int = {
-      if (6 * size == buckets.length) buckets = java.util.Arrays.copyOf(buckets, 6 * (size + math.max(1, size >> 1)))
-      System.arraycopy(buckets, 6 * i, buckets, 6 * (i + 1), 6 * (size - i))
-      val o = 6 * i
+      if (3 * size == buckets.length) buckets = java.util.Arrays.copyOf(buckets, 3 * (size + math.max(1, size >> 1)))
+      System.arraycopy(buckets, 3 * i, buckets, 3 * (i + 1), 3 * (size - i))
+      val o = 3 * i
       buckets(o) = b; buckets(o + 1) = 0; buckets(o + 2) = 0
-      setDbl(o + 3, 0.0); setDbl(o + 4, Double.PositiveInfinity); setDbl(o + 5, Double.NegativeInfinity)
       size += 1
       i
     }
 
+    /** Gives the one-row bucket at offset `o` a side entry holding its
+      * row's count, min and max as [[PartialAcc.add]] leaves them, so a NaN
+      * sets neither. Returns the entry's offset in `side`.
+      */
+    private def promote(o: Int): Int = {
+      if (3 * sideSize == side.length) side = java.util.Arrays.copyOf(side, 3 * (sideSize + math.max(1, sideSize >> 1)))
+      val s = 3 * sideSize
+      val v = dbl(buckets, o + 2)
+      var min = Double.PositiveInfinity; var max = Double.NegativeInfinity
+      val cnt = buckets(o + 1) & 1L
+      if (cnt == 1) {
+        if (v < min) min = v
+        if (v > max) max = v
+      }
+      side(s) = cnt; setDbl(side, s + 1, min); setDbl(side, s + 2, max)
+      buckets(o + 1) = OneRow | sideSize
+      sideSize += 1
+      s
+    }
+
     /** Merges the buckets from index `i` on that start before `until` into
-      * `acc`; returns the index after the last one merged.
+      * `acc`; returns the index after the last one merged. A one-row
+      * bucket merges as its row. A bucket's sum starts from its first value,
+      * not from +0.0 as a fold does, so it can read -0.0 where a fold reads
+      * +0.0; `acc.sum` starts at +0.0 and so is never -0.0, and adding
+      * either zero to it gives the same bits.
       */
     def mergeFrom(i0: Int, until: Long, acc: PartialAcc): Int = {
       var i = i0
       while (i < size && start(i) < until) {
-        val o = 6 * i
-        acc.rows += buckets(o + 1)
-        acc.cnt += buckets(o + 2)
-        acc.sum += dbl(o + 3)
-        if (dbl(o + 4) < acc.min) acc.min = dbl(o + 4)
-        if (dbl(o + 5) > acc.max) acc.max = dbl(o + 5)
+        val o = 3 * i
+        val meta = buckets(o + 1)
+        if (meta == OneRow) acc.addNull()
+        else if (meta == (OneRow | 1L)) acc.add(dbl(buckets, o + 2))
+        else {
+          val s = 3 * meta.toInt
+          acc.rows += meta >>> 32
+          acc.cnt += side(s)
+          acc.sum += dbl(buckets, o + 2)
+          if (dbl(side, s + 1) < acc.min) acc.min = dbl(side, s + 1)
+          if (dbl(side, s + 2) > acc.max) acc.max = dbl(side, s + 2)
+        }
         i += 1
       }
       i
@@ -224,6 +276,6 @@ object PreAggTable {
 
     /** Rows of bucket `i` if it starts at `b`, else 0. */
     def rowsAt(i: Int, b: Long): Long =
-      if (i >= 0 && i < size && start(i) == b) buckets(6 * i + 1) else 0L
+      if (i >= 0 && i < size && start(i) == b) buckets(3 * i + 1) >>> 32 else 0L
   }
 }

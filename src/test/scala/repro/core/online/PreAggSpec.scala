@@ -246,6 +246,86 @@ class PreAggSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  /** Every field of `a` equals `b`'s as a value: NaN equals NaN, -0.0
+    * differs from +0.0. Which of -0.0 and +0.0 is the min or max of both
+    * depends on fold order, so with `bothZeros` they compare with `==`.
+    */
+  private def sameBits(a: PartialAcc, b: PartialAcc, bothZeros: Boolean = false): Boolean = {
+    def eq(x: Double, y: Double) = java.lang.Double.compare(x, y) == 0
+    def ext(x: Double, y: Double) = if (bothZeros) x == y else eq(x, y)
+    a.rows == b.rows && a.cnt == b.cnt && eq(a.sum, b.sum) && ext(a.min, b.min) && ext(a.max, b.max)
+  }
+
+  test("a one-row bucket that takes more rows, in every order of nulls and special values, folds like its rows") {
+    // up to three rows in bucket 0 of both levels, one more in bucket 10 of
+    // the finest; each range folds like the rows, bit for bit
+    val values: Seq[Option[Double]] = None +: Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity,
+      -0.0, 0.0, 1.5, -2.0).map(Some(_))
+    val seqs = values.map(Seq(_)) ++ (for (a <- values; b <- values) yield Seq(a, b)) ++
+      (for (a <- values; b <- values; c <- values) yield Seq(a, b, c))
+    val bounds = Seq(-5L, 0L, 2L, 3L, 10L, 12L, 19L, 25L)
+    for (vs <- seqs; last <- values) {
+      val rows = vs.zipWithIndex.map { case (v, i) => (i + 1L, v) } :+ ((11L, last))
+      val pa = new PreAggTable(Seq(10L, 20L))
+      rows.foreach { case (t, v) => v.fold(pa.insertNull("k", t))(pa.insert("k", t, _)) }
+      def fold(lo: Long, hi: Long, acc: PartialAcc): Unit =
+        rows.foreach { case (t, v) => if (t >= lo && t <= hi) v.fold(acc.addNull())(acc.add) }
+      for (lo <- bounds; hi <- bounds if lo <= hi) {
+        val got  = pa.queryRows("k", lo, hi, fold)
+        val want = { val acc = new PartialAcc; fold(lo, hi, acc); acc }
+        val zeros = rows.collect { case (t, Some(v)) if t >= lo && t <= hi && v == 0.0 => 1 / v }.distinct
+        assert(sameBits(got, want, zeros.size == 2),
+          s"rows $rows, range [$lo, $hi]: got ${(got.rows, got.cnt, got.sum, got.min, got.max)}")
+      }
+    }
+  }
+
+  test("multi-row buckets opened out of order inside a full level array, past several side-array growths, keep queries exact") {
+    // one row in each of buckets 20, 40, .., 20n, then in shuffled order a
+    // second row for some of them and two rows each in new buckets 20k + 10
+    // between them, so buckets take their side entries out of bucket order
+    val levels = Seq(10L, 20L, 200L)
+    for (n <- Seq(1, 2, 5, 13, 40)) {
+      val rnd = new Random(n)
+      val pa = new PreAggTable(levels)
+      val rows = scala.collection.mutable.ArrayBuffer.empty[(Long, Option[Double])]
+      def add(t: Long, v: Option[Double]): Unit = { v.fold(pa.insertNull("k", t))(pa.insert("k", t, _)); rows += ((t, v)) }
+      def value(): Option[Double] = if (rnd.nextInt(5) == 0) None else Some(rnd.nextInt(101) - 50.0)
+      (1 to n).foreach(b => add(20L * b + 3, value()))
+      val later = rnd.shuffle((1 to n).map(b => Seq(20L * b + 5)) ++ (0 to n).map(b => Seq(20L * b + 12, 20L * b + 17)))
+      later.foreach(_.foreach(add(_, value())))
+      def fold(lo: Long, hi: Long, acc: PartialAcc): Unit =
+        rows.foreach { case (t, v) => if (t >= lo && t <= hi) v.fold(acc.addNull())(acc.add) }
+      assert(pa.bucketCount == levels.map(w => rows.map(r => math.floorDiv(r._1, w)).distinct.size.toLong).sum)
+      val edges = -5L to 20L * (n + 2) by 3L
+      for (lo <- edges; hi <- edges if lo <= hi) {
+        val got  = pa.queryRows("k", lo, hi, fold)
+        val want = { val acc = new PartialAcc; fold(lo, hi, acc); acc }
+        assert(sameBits(got, want), s"n $n, range [$lo, $hi]")
+      }
+    }
+  }
+
+  test("a row past the most a bucket counts throws, and leaves every level as it was") {
+    // no test inserts 2^32 rows: the coarse bucket's row count (the high
+    // half of its meta word) is set to the limit through reflection
+    def field(o: AnyRef, name: String): AnyRef = {
+      val f = o.getClass.getDeclaredField(name); f.setAccessible(true); f.get(o)
+    }
+    val pa = new PreAggTable(Seq(10L, 100L))
+    pa.insert("k", 5, 1.0); pa.insert("k", 15, 2.0)
+    val levels = field(pa, "state").asInstanceOf[java.util.concurrent.ConcurrentHashMap[String, Array[AnyRef]]].get("k")
+    val coarse = field(levels(1), "buckets").asInstanceOf[Array[Long]]
+    coarse(1) = (0xFFFFFFFFL << 32) | (coarse(1) & 0xFFFFFFFFL)
+    val e = intercept[IllegalStateException](pa.insert("k", 7, 3.0))
+    assert(e.getMessage.contains("4294967295 rows"))
+    val none = (_: Long, _: Long) => Iterator.empty[(Long, Double)]
+    val fine = pa.query("k", 0, 19, none)
+    assert(fine.rows == 2 && fine.sum == 3.0 && pa.lastQueryBuckets == 2)
+    val all = pa.query("k", 0, 99, none)
+    assert(all.rows == 0xFFFFFFFFL && all.cnt == 2 && all.sum == 3.0 && all.min == 1.0 && all.max == 2.0)
+  }
+
   test("concurrent inserts and queries on one key see whole rows") {
     val pa = new PreAggTable(Seq(10L, 100L))
     val n = 20000
