@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class PreAggBench extends AnyFunSuite {
 
   test("pre-aggregation turns linear long-window latency into ~flat") {
-    val rows = PreAggAblation.run(sizes = Seq(100000, 500000, 1000000), reps = 7)
+    val rows = PreAggAblation.run(sizes = Seq(100000, 500000, 1000000))
     println(PreAggAblation.render(rows))
 
     // raw latency grows with window size; pre-agg stays bounded
@@ -17,5 +17,12 @@ class PreAggBench extends AnyFunSuite {
     rows.filter(_.windowTuples >= 500000).foreach { r =>
       assert(r.speedup > 10.0, f"speedup ${r.speedup}%.1fx at ${r.windowTuples}")
     }
+  }
+
+  test("a key's buckets pay off above a few rows: the threshold sweep") {
+    val rows = PreAggAblation.sweep()
+    println(PreAggAblation.renderSweep(rows))
+    // at 256 rows over 30 days the buckets beat folding every row
+    assert(rows.last.bucketNs < rows.last.rawNs, rows.last.toString)
   }
 }

@@ -2,7 +2,7 @@ package repro.bench
 
 import scala.util.Random
 import repro.core._
-import repro.core.online.{OnlineTable, PreAggTable, RequestEngine}
+import repro.core.online.{OnlineTable, PartialAcc, PreAggTable, RequestEngine}
 
 /** Figures 10/11 reproduction shape: long-window request latency with and
   * without pre-aggregation as the tuple count inside the window grows.
@@ -31,10 +31,13 @@ object PreAggAblation {
       Feature("a", FeatureFn.Avg("v"), "w"),
       Feature("mx", FeatureFn.Max("v"), "w")))
 
-  private def medianLatencyMs(eng: RequestEngine, reps: Int, ts: Long): Double = {
+  /** Median latency of `reps` requests, after `warm` untimed ones. */
+  private def medianLatencyMs(eng: RequestEngine, warm: Int, reps: Int, ts: Long): Double = {
+    val req = Map[String, Any]("k" -> "hot", "ts" -> ts, "v" -> 1.0)
+    (0 until warm).foreach(_ => eng.request(req))
     val lat = (0 until reps).map { _ =>
       val t0 = System.nanoTime()
-      eng.request(Map("k" -> "hot", "ts" -> ts, "v" -> 1.0))
+      eng.request(req)
       (System.nanoTime() - t0) / 1e6
     }.sorted
     lat(reps / 2)
@@ -56,7 +59,8 @@ object PreAggAblation {
     (Table2Memory.settledHeap() - heap0, pa.bucketCount)
   }
 
-  def run(sizes: Seq[Int] = Seq(100000, 500000, 1000000, 2000000), reps: Int = 9): Seq[AblRow] = {
+  /** Each engine serves `warm` requests before `reps` timed ones. */
+  def run(sizes: Seq[Int] = Seq(100000, 500000, 1000000, 2000000), reps: Int = 101, warm: Int = 200): Seq[AblRow] = {
     sizes.map { n =>
       val (bytes, buckets) = retained(n)
       val rnd = new Random(23)
@@ -70,8 +74,81 @@ object PreAggAblation {
         rawEng.insert("t", row); paEng.insert("t", row)
       }
       val ts = n.toLong
-      AblRow(n, medianLatencyMs(rawEng, reps, ts), medianLatencyMs(paEng, reps, ts), bytes, buckets)
+      AblRow(n, medianLatencyMs(rawEng, warm, reps, ts), medianLatencyMs(paEng, warm, reps, ts), bytes, buckets)
     }
+  }
+
+  /** One point of the sweep below: the median time of one 30-day query
+    * over a key holding `rows` rows, answered from `buckets` buckets plus
+    * raw edges, and by a fold of the key's rows.
+    */
+  final case class SweepRow(rows: Int, bucketNs: Double, rawNs: Double, buckets: Int) {
+    def ratio: Double = bucketNs / rawNs
+  }
+
+  private val Day = 86400000L
+  private val SweepLevels = Seq(60000L, 3600000L, Day)
+
+  /** Where pre-aggregation starts to pay for a key (the row count at which
+    * a bound [[PreAggTable]] builds its buckets): one key with `k` rows
+    * spread evenly over a 30-day window, in a table and in a pre-aggregation
+    * at minute/hour/day levels that records every row. A 30-day query is
+    * timed as `queryRows` over those buckets, and as `queryRows` over a key
+    * with no buckets, which folds the key's stored rows whole, as a lazy
+    * key below the threshold does. Each sample is the mean of `batch`
+    * queries; the median of `reps` samples after `warm` untimed ones.
+    */
+  def sweep(sizes: Seq[Int] = (0 to 8).map(1 << _), reps: Int = 101, warm: Int = 200,
+            batch: Int = 1000): Seq[SweepRow] = {
+    val hi = 100 * Day
+    val lo = hi - 30 * Day
+    sizes.map { k =>
+      val rnd = new Random(k)
+      val table = new OnlineTable("k", "ts")
+      val eager = new PreAggTable(SweepLevels)
+      (0 until k).foreach { i =>
+        val ts = lo + (2L * i + 1) * (hi - lo) / (2L * k)
+        val v = rnd.nextDouble()
+        table.put(Map("k" -> "key", "ts" -> ts, "v" -> v))
+        eager.insert("key", ts, v)
+      }
+      val s = table.series("key")
+      val col = table.column("v")
+      val fold: (Long, Long, PartialAcc) => Unit = (l, h, acc) => {
+        val it = s.scan(l, h)
+        while (it.hasNext) {
+          val row = it.next().payload
+          val f = col.field(row)
+          if (f == null || f.isNull(row)) acc.addNull() else acc.add(f.double(row))
+        }
+      }
+      var sink = 0L
+      def medianNs(pa: PreAggTable): Double = {
+        def sample(): Double = {
+          val t0 = System.nanoTime()
+          var i = 0
+          while (i < batch) { sink += pa.queryRows("key", lo, hi, fold).rows; i += 1 }
+          (System.nanoTime() - t0).toDouble / batch
+        }
+        (0 until warm).foreach(_ => sample())
+        val xs = Array.fill(reps)(sample()).sorted
+        xs(reps / 2)
+      }
+      val none = new PreAggTable(SweepLevels)
+      val rawNs = medianNs(none)
+      val bucketNs = medianNs(eager)
+      eager.queryRows("key", lo, hi, fold)
+      require(sink == 2L * (warm + reps) * batch * k, s"queries at $k rows counted $sink rows")
+      SweepRow(k, bucketNs, rawNs, eager.lastQueryBuckets)
+    }
+  }
+
+  def renderSweep(rows: Seq[SweepRow]): String = {
+    val sb = new StringBuilder
+    sb.append("Pre-aggregation threshold sweep: one key, rows spread over a 30-day window, levels 1min/1h/1d\n")
+    sb.append(f"${"rows"}%6s ${"buckets(ns)"}%12s ${"raw-fold(ns)"}%13s ${"buckets/raw"}%12s ${"merged"}%7s\n")
+    rows.foreach(r => sb.append(f"${r.rows}%6d ${r.bucketNs}%12.1f ${r.rawNs}%13.1f ${r.ratio}%12.2f ${r.buckets}%7d\n"))
+    sb.toString
   }
 
   def render(rows: Seq[AblRow]): String = {

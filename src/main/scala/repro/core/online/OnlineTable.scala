@@ -38,8 +38,10 @@ final class OnlineTable(val keyCol: String, val tsCol: String) {
   def put(row: Map[String, Any]): Unit = put(toString, row, null)
 
   /** Encodes and stores one row under its key and ts, taken from the
-    * values the encoding gathers; then hands them and the stored bytes to
-    * `stored`, if given. `table` names the table in errors.
+    * values the encoding gathers; then hands them, the key's time list and
+    * the stored bytes to `stored`, if given, still holding the list's
+    * monitor, which it took before the insert. `table` names the table in
+    * errors.
     */
   private[online] def put(table: String, row: Map[String, Any], stored: Stored): Unit = {
     val ls = layouts
@@ -59,8 +61,9 @@ final class OnlineTable(val keyCol: String, val tsCol: String) {
     else {
       val key = String.valueOf(vs(l.keyAt))
       val ts  = tsValue(table, vs(l.tsAt))
-      store.put(key, ts, bytes)
-      if (stored != null) stored(key, ts, bytes)
+      val list = store.listOf(key)
+      if (stored == null) list.insert(ts, bytes)
+      else list.synchronized { list.insert(ts, bytes); stored(key, list, ts, bytes) }
       true
     }
   }
@@ -139,9 +142,11 @@ object OnlineTable {
 
   private val Absent = new Object
 
-  /** Receives a stored row's key, ts and bytes. */
+  /** Receives a stored row's key, its key's time list, its ts and its
+    * bytes, under the list's monitor.
+    */
   private[online] trait Stored {
-    def apply(key: String, ts: Long, row: Array[Byte]): Unit
+    def apply(key: String, list: TimeList[Array[Byte]], ts: Long, row: Array[Byte]): Unit
   }
 
   /** One row layout: column names and their value classes, a null class

@@ -2,6 +2,7 @@ package repro.core.online
 
 import java.util.concurrent.ConcurrentHashMap
 import scala.jdk.CollectionConverters._
+import repro.storage.{TimeList, TsEntry}
 
 /** Mergeable partial aggregate (§5.1), built in place: enough state to
   * answer count(1) / count / sum / avg / min / max by merging. `rows`
@@ -35,6 +36,18 @@ final class PartialAcc {
   * finer levels, and finally scanning raw rows (caller-provided callback,
   * typically a skiplist range scan) below the finest level — exactly
   * Figure 4's agg1..agg5 decomposition.
+  *
+  * Used alone, a table records every row it is given. A [[RequestEngine]]
+  * binds its pre-aggregations to its primary table and their value
+  * columns, and a bound table is lazy: it keeps no levels for a key until
+  * the key's time list holds [[PreAggTable.BuildRows]] rows. The record
+  * that sees the list reach that size builds every level from all of the
+  * key's rows; from then on each row is recorded as it comes. Until then a
+  * query scans the key's rows whole through `raw`, which for so few rows
+  * is faster than a bucket merge (`repro.bench.PreAggAblation.sweep`).
+  * Each row is counted once, by the build or by
+  * its own record, because both run under the key's time-list monitor,
+  * held from the row's list insert on.
   */
 final class PreAggTable(val levels: Seq[Long]) {
   require(levels.nonEmpty && levels == levels.sorted, "levels must ascend")
@@ -46,20 +59,122 @@ final class PreAggTable(val levels: Seq[Long]) {
 
   private val state = new ConcurrentHashMap[String, Array[PreAggTable.Level]]()
 
+  /** The table and value column this pre-aggregation builds a key's levels
+    * from; null while it is used alone.
+    */
+  @volatile private var binding: PreAggTable.Binding = null
+
+  /** Binds this pre-aggregation to column `valCol` of `table`, named
+    * `name`. Binding again to the same table and column does nothing; to
+    * another one fails, naming both.
+    */
+  private[online] def bind(name: String, table: OnlineTable, valCol: String): Unit = synchronized {
+    val b = binding
+    if (b == null) binding = new PreAggTable.Binding(name, table, valCol)
+    else if (!(b.table eq table) || b.valCol != valCol)
+      throw new IllegalArgumentException(s"a pre-aggregation bound to column ${b.valCol} of table ${b.name} " +
+        s"cannot also be bound to column $valCol of table $name")
+  }
+
   /** Counts how many buckets the last query merged vs raw rows —
     * exposed so tests/benches can assert the hierarchy is actually used.
     */
   @volatile var lastQueryBuckets: Int = 0
   @volatile var lastQueryRawRows: Int = 0
 
-  def insert(key: String, ts: Long, v: Double): Unit = record(key, ts, v, isNull = false)
+  /** Records one row. On a bound table the row must already be stored in
+    * the bound table, as [[RequestEngine.insert]] and a caller that puts
+    * the row first both ensure: the key's levels are built from the stored
+    * rows, under the same rule and lock as a row the engine inserts. Such a
+    * caller's put is not under the lock, so it must not race another insert
+    * of the same key.
+    */
+  def insert(key: String, ts: Long, v: Double): Unit = direct(key, ts, v, isNull = false)
 
   /** Records a row whose value column is null: it counts in `rows` only. */
-  def insertNull(key: String, ts: Long): Unit = record(key, ts, 0.0, isNull = true)
+  def insertNull(key: String, ts: Long): Unit = direct(key, ts, 0.0, isNull = true)
 
-  private def record(key: String, ts: Long, v: Double, isNull: Boolean): Unit = {
-    var agg = state.get(key)
-    if (agg == null) agg = state.computeIfAbsent(key, _ => Array.fill(widths.length)(new PreAggTable.Level))
+  private def direct(key: String, ts: Long, v: Double, isNull: Boolean): Unit = {
+    val b = binding
+    if (b == null) {
+      var agg = state.get(key)
+      if (agg == null) agg = state.computeIfAbsent(key, _ => Array.fill(widths.length)(new PreAggTable.Level(1, 0)))
+      add(agg, ts, v, isNull)
+    } else {
+      val s = b.table.series(key)
+      if (s == null)
+        throw new IllegalArgumentException(s"key $key has no row in table ${b.name}: a bound pre-aggregation " +
+          "records a row after it is stored")
+      s.synchronized {
+        val agg = levelsOf(key, s)
+        if (agg != null) add(agg, ts, v, isNull)
+      }
+    }
+  }
+
+  /** Records a row just stored in the bound table: `s` is its key's time
+    * list, whose monitor the caller has held since the row's insert.
+    */
+  private[online] def record(key: String, s: TimeList[Array[Byte]], ts: Long, row: Array[Byte]): Unit = {
+    val agg = levelsOf(key, s)
+    if (agg != null) {
+      val f = binding.col.field(row)
+      if (f == null || f.isNull(row)) add(agg, ts, 0.0, isNull = true) else add(agg, ts, f.double(row), isNull = false)
+    }
+  }
+
+  /** A bound key's levels, where its latest row is still to be recorded;
+    * null when there is nothing to record: the key's list, `s`, holds fewer
+    * than [[PreAggTable.BuildRows]] rows, or just reached that size and its
+    * levels were built here from all of them, that row included.
+    */
+  private def levelsOf(key: String, s: TimeList[Array[Byte]]): Array[PreAggTable.Level] = {
+    val agg = state.get(key)
+    if (agg == null && s.size >= PreAggTable.BuildRows) state.put(key, build(s))
+    agg
+  }
+
+  /** Every level of a key from all of its rows, read as `record` reads
+    * them. The rows are folded oldest first, so each level appends, into
+    * arrays sized for them.
+    */
+  private def build(s: TimeList[Array[Byte]]): Array[PreAggTable.Level] = {
+    var rows = new Array[TsEntry[Array[Byte]]](s.size.toInt)
+    var n = 0
+    val it = s.iterator
+    while (it.hasNext) {
+      if (n == rows.length) rows = java.util.Arrays.copyOf(rows, 2 * n + 1)
+      rows(n) = it.next(); n += 1
+    }
+    val agg = new Array[PreAggTable.Level](widths.length)
+    var i = 0
+    while (i < agg.length) {
+      val w = widths(i)
+      var buckets = 0; var multi = 0
+      var b = 0L; var inB = 0
+      var j = n - 1
+      while (j >= 0) {
+        val bj = math.floorDiv(rows(j).ts, w) * w
+        if (inB == 0 || bj != b) { buckets += 1; b = bj; inB = 1 }
+        else { inB += 1; if (inB == 2) multi += 1 }
+        j -= 1
+      }
+      agg(i) = new PreAggTable.Level(buckets, multi)
+      i += 1
+    }
+    val col = binding.col
+    var j = n - 1
+    while (j >= 0) {
+      val row = rows(j).payload
+      val f = col.field(row)
+      if (f == null || f.isNull(row)) add(agg, rows(j).ts, 0.0, isNull = true)
+      else add(agg, rows(j).ts, f.double(row), isNull = false)
+      j -= 1
+    }
+    agg
+  }
+
+  private def add(agg: Array[PreAggTable.Level], ts: Long, v: Double, isNull: Boolean): Unit =
     // Coarsest level first: its bucket counts the most rows, so a bucket
     // full of rows throws before any level has changed.
     agg.synchronized {
@@ -69,7 +184,6 @@ final class PreAggTable(val levels: Seq[Long]) {
         i -= 1
       }
     }
-  }
 
   /** Merge partials covering ts in [lo, hi] for `key`; `raw` scans raw
     * rows for sub-bucket edges and must return (ts, value) pairs, under
@@ -147,6 +261,18 @@ final class PreAggTable(val levels: Seq[Long]) {
 
 object PreAggTable {
 
+  /** Rows a bound key's time list holds when its levels are built: below
+    * this, a key keeps no levels and a query folds its rows.
+    */
+  private[online] final val BuildRows = 16
+
+  /** A bound table's source: the primary table, named `name`, and the
+    * handle through which every build and record reads the value column.
+    */
+  private final class Binding(val name: String, val table: OnlineTable, val valCol: String) {
+    val col: OnlineTable.Column = table.column(valCol)
+  }
+
   /** Row count of a one-row bucket, in a meta word's high 32 bits. */
   private final val OneRow = 1L << 32
   /** The most rows a bucket counts. */
@@ -160,14 +286,16 @@ object PreAggTable {
     * takes its second row, its low bits index three longs in `side`: the
     * non-null count and the bits of min and max, and its sum goes on as a
     * running sum from that first value. `side` is allocated when a bucket
-    * first takes a second row. Both arrays start with room for one entry
-    * and grow by half, as `ArrayList` does, since most keys hold few
-    * buckets and most buckets hold one row. Guarded by the key's lock.
+    * first takes a second row, or by a build. Both arrays start with room
+    * for the `nBuckets` buckets and `nSide` side entries a build holds (one
+    * and none for a level that records open), and grow by half, as
+    * `ArrayList` does, since most keys hold few buckets and most buckets
+    * hold one row. Guarded by the key's lock.
     */
-  private final class Level {
+  private final class Level(nBuckets: Int, nSide: Int) {
     var size = 0
-    private var buckets = new Array[Long](3)
-    private var side = Array.emptyLongArray
+    private var buckets = new Array[Long](3 * nBuckets)
+    private var side = if (nSide == 0) Array.emptyLongArray else new Array[Long](3 * nSide)
     private var sideSize = 0
 
     private def start(i: Int): Long = buckets(3 * i)

@@ -41,32 +41,36 @@ final class RequestEngine(
   /** Ingest a data tuple into a table (and its pre-aggregators).
     *
     * A primary row is stored in its table first, then recorded in each
-    * pre-aggregation. A pre-aggregated feature counts the row once it is
-    * recorded, inside the covered buckets and on a raw edge alike: an edge
-    * is scanned only when its finest bucket counts rows, and a recorded
-    * row is already in the table. So once `insert` returns, every request
-    * sees the row in every feature. A request that runs while an insert is
-    * between the two steps sees the row in its raw-folded features but may
-    * miss it in the pre-aggregated ones; it can see it there early only on
-    * an edge whose finest bucket already counts another recorded row.
+    * pre-aggregation, under its key's time-list monitor from the store on.
+    * A pre-aggregation keeps no buckets for a key whose list holds fewer
+    * than [[PreAggTable.BuildRows]] rows; it scans such a key's rows whole,
+    * so it sees a row as soon as it is stored. The insert that brings the
+    * list to that size builds the key's buckets from all of its rows, and
+    * each later row is recorded on its own: a row is counted once, by the
+    * build or by its record.
+    *
+    * A key with buckets counts the row once it is recorded, inside the
+    * covered buckets and on a raw edge alike: an edge is scanned only when
+    * its finest bucket counts rows, and a recorded row is already in the
+    * table. So once `insert` returns, every request sees the row in every
+    * feature. A request that runs while an insert is between the two steps
+    * sees the row in its raw-folded features but may miss it in the
+    * pre-aggregated ones; it can see it there early only on an edge whose
+    * finest bucket already counts another recorded row.
     */
   def insert(table: String, row: Map[String, Any]): Unit =
     tables(table).put(table, row, if (table == spec.primary) feedPreAggs else null)
 
-  /** Feeds a stored primary row's value column to each pre-aggregation
-    * (null when there are none).
+  /** Records a stored primary row in each pre-aggregation (null when there
+    * are none).
     */
   private val feedPreAggs: OnlineTable.Stored =
     if (preAgg.isEmpty) null
     else {
-      val (cols, pas) = preAgg.toArray.map { case ((_, c), pa) => (primary.column(c), pa) }.unzip
-      (key, ts, row) => {
+      val pas = preAgg.values.toArray
+      (key, list, ts, row) => {
         var i = 0
-        while (i < pas.length) {
-          val f = cols(i).field(row)
-          if (f == null || f.isNull(row)) pas(i).insertNull(key, ts) else pas(i).insert(key, ts, f.double(row))
-          i += 1
-        }
+        while (i < pas.length) { pas(i).record(key, list, ts, row); i += 1 }
       }
     }
 
@@ -290,6 +294,10 @@ final class RequestEngine(
     require(t.keyCol == keyCol && t.tsCol == tsCol,
       s"$reader reads table $table by ($keyCol, $tsCol), but $table is indexed by (${t.keyCol}, ${t.tsCol})")
   }
+
+  // Last, once every check has passed: each pre-aggregation builds a key's
+  // buckets from the primary table's rows.
+  preAgg.foreach { case ((_, c), pa) => pa.bind(spec.primary, primary, c) }
 
   private val readTables: Array[OnlineTable] = reads.map(r => tables(r._1)).toArray
   private val readCols: Array[String]        = reads.map(_._2).toArray

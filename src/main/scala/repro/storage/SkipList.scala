@@ -200,10 +200,15 @@ object TimeList {
 final class TimeSeriesStore[K, P] {
   private val index = new ConcurrentHashMap[K, TimeList[P]]
 
-  def put(key: K, ts: Long, payload: P): Unit = {
-    var s = index.get(key)
-    if (s == null) s = index.computeIfAbsent(key, _ => new TimeList[P])
-    s.insert(ts, payload)
+  def put(key: K, ts: Long, payload: P): Unit = listOf(key).insert(ts, payload)
+
+  /** The key's time list, made empty when the key has none. A writer that
+    * records more per row than the list holds inserts through it, under
+    * its monitor.
+    */
+  def listOf(key: K): TimeList[P] = {
+    val s = index.get(key)
+    if (s != null) s else index.computeIfAbsent(key, _ => new TimeList[P])
   }
 
   /** The key's time list, or null when the key was never put; callers

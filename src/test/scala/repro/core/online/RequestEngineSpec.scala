@@ -195,33 +195,51 @@ class RequestEngineSpec extends AnyFunSuite {
     log.indices.foreach(i => assert(got(i) == want(i), s"event $i: ${log(i)}"))
   }
 
-  /** A 10 s window over `t`, with count and sum of `v` served by a
-    * `PreAggTable(Seq(1000))` or folded from the raw frame.
+  /** A 10 s window over `t`, with count and sum of `v` served by `pa`
+    * (a `PreAggTable(Seq(1000))`) or, without one, folded from the raw
+    * frame.
     */
-  private def nullProbe(withPreAgg: Boolean): RequestEngine = {
+  private def nullProbe(pa: PreAggTable = null): RequestEngine = {
     val spec = FeatureSpec("t", Seq(WindowDef("w", "k", "ts", 10000L)),
       Seq(Feature("n", FeatureFn.Count, "w"), Feature("s", FeatureFn.Sum("v"), "w")))
-    val preAgg = if (withPreAgg) Map(("w", "v") -> new PreAggTable(Seq(1000L))) else Map.empty[(String, String), PreAggTable]
+    val preAgg = if (pa != null) Map(("w", "v") -> pa) else Map.empty[(String, String), PreAggTable]
     new RequestEngine(spec, Map("t" -> new OnlineTable("k", "ts")), preAgg)
   }
   private def probeRow(ts: Long, v: java.lang.Double): Map[String, Any] = Map("k" -> 1L, "ts" -> ts, "v" -> v)
 
+  /** Stores [[PreAggTable.BuildRows]] rows of key 1 at `from`, `from + 10`,
+    * .. in each engine, so a pre-aggregation holds buckets for the key
+    * before a test's own rows arrive; `from` lies below every window the
+    * test reads.
+    */
+  private def history(from: Long, engines: RequestEngine*): Unit =
+    (0 until PreAggTable.BuildRows).foreach { i =>
+      val row = probeRow(from + 10L * i, 1.0 + i)
+      engines.foreach(_.insert("t", row))
+    }
+
   test("pre-agg: a null value on a raw edge is counted, not a crash") {
-    val (pre, raw) = (nullProbe(true), nullProbe(false))
+    val pa = new PreAggTable(Seq(1000L))
+    val (pre, raw) = (nullProbe(pa), nullProbe())
+    history(0, pre, raw)
     Seq(probeRow(800, null), probeRow(5000, 2.0)).foreach { r => pre.insert("t", r); raw.insert("t", r) }
     // [700, 10700]: the row at 800 lies below the first full bucket
     val req = probeRow(10700, 4.0)
     val (p, r) = (pre.request(req), raw.request(req))
+    assert(pa.lastQueryBuckets > 0 && pa.lastQueryRawRows == 1)
     assert(r("n") == 3L && r("s") == 6.0)
     assert(p("n") == r("n") && p("s") == r("s"))
   }
 
   test("pre-agg: Count counts null-valued rows inside buckets") {
-    val (pre, raw) = (nullProbe(true), nullProbe(false))
+    val pa = new PreAggTable(Seq(1000L))
+    val (pre, raw) = (nullProbe(pa), nullProbe())
+    history(0, pre, raw)
     Seq(probeRow(3000, 1.0), probeRow(3500, null)).foreach { r => pre.insert("t", r); raw.insert("t", r) }
     val req = probeRow(10700, 4.0)
     assert(raw.request(req)("n") == 3L)
     assert(pre.request(req)("n") == 3L)
+    assert(pa.lastQueryBuckets > 0)
     assert(pre.request(probeRow(10700, null)) == raw.request(probeRow(10700, null)))
   }
 
@@ -247,11 +265,14 @@ class RequestEngineSpec extends AnyFunSuite {
   test("a row inserted with a Double ts is found by a request and counted by its pre-agg") {
     val pa = new PreAggTable(Seq(100L, 1000L))
     val (eng, _) = mkEngine(Map(("w10s", "price") -> pa))
+    // the key's first rows, below every window read here, so it holds buckets
+    (0 until PreAggTable.BuildRows).foreach(i => eng.insert("actions", action(1, -20000L + 100 * i, 1.0, "c")))
     eng.insert("actions", Map("userid" -> 1L, "ts" -> 1500.0, "price" -> 9.0, "category" -> "c"))
     val out = eng.request(action(1, 2000, 1.0, "c"))
     assert(out("cnt") == 2L && out("price_sum") == 10.0)
     assert(out("price_avg") == 5.0)
     assert(pa.query("1", 1000L, 1999L, (_, _) => Iterator.empty).cnt == 1L)
+    assert(pa.lastQueryBuckets > 0)
   }
 
   test("an engine over missing tables fails naming every one") {
@@ -406,6 +427,8 @@ class RequestEngineSpec extends AnyFunSuite {
           Feature("lo", FeatureFn.Min("v"), "w"), Feature("hi", FeatureFn.Max("v"), "w")))
     val pa  = new PreAggTable(Seq(100L, 1000L))
     val eng = new RequestEngine(spec, Map("t" -> new OnlineTable("k", "ts")), Map(("w", "v") -> pa))
+    history(0, eng)
+    assert(pa.bucketCount > 0)
     // A request at 20050 reads [10050, 20050]: covered [10100, 20000),
     // left edge [10050, 10099] in bucket 10000, right edge [20000, 20050]
     // in bucket 20000. Each row is the first of its finest bucket.
@@ -418,7 +441,182 @@ class RequestEngineSpec extends AnyFunSuite {
         val out = eng.request(req)
         assert(out("n") == n && out("s") == sum && out("lo") == lo && out("hi") == hi, s"after the row at $ts: $out")
     }
+    assert(pa.lastQueryBuckets > 0)
     eng.insert("t", probeRow(10040, 100.0)) // in the left edge's bucket, before the window
     assert(eng.request(req)("n") == n && eng.request(req)("hi") == hi)
+  }
+
+
+  // --------------------------------------------------- lazy pre-aggregation
+
+  private val lazySpec = FeatureSpec("t", Seq(WindowDef("w", "k", "ts", 1000L)),
+    Seq(Feature("n", FeatureFn.Count, "w"), Feature("s", FeatureFn.Sum("v"), "w"), Feature("a", FeatureFn.Avg("v"), "w"),
+        Feature("lo", FeatureFn.Min("v"), "w"), Feature("hi", FeatureFn.Max("v"), "w")))
+  private val lazyFeatures = Seq("n", "s", "a", "lo", "hi")
+
+  /** An engine over `lazySpec` and its table, pre-aggregated by `pa` if given. */
+  private def lazyEngine(pa: PreAggTable = null, name: String = "t"): (RequestEngine, OnlineTable) = {
+    val t = new OnlineTable("k", "ts")
+    val spec = lazySpec.copy(primary = name)
+    (new RequestEngine(spec, Map(name -> t), if (pa == null) Map.empty else Map(("w", "v") -> pa)), t)
+  }
+  private def kRow(k: Long, ts: Long, v: java.lang.Double): Map[String, Any] = Map("k" -> k, "ts" -> ts, "v" -> v)
+
+  /** Today's tolerance: counts, mins and maxes equal; sums and averages
+    * within 1e-9, where NaN matches NaN and an infinity itself.
+    */
+  private def sameFeature(f: String, p: Any, r: Any): Boolean = (p, r) match {
+    case (x: Double, y: Double) if f == "s" || f == "a" => (x.isNaN && y.isNaN) || x == y || math.abs(x - y) < 1e-9
+    case (x, y)                                          => x == y
+  }
+
+  test("a key below BuildRows rows holds no buckets, and every pre-aggregated feature answers as the raw fold") {
+    val pa = new PreAggTable(Seq(10L, 100L))
+    val (pre, _) = lazyEngine(pa)
+    val (raw, _) = lazyEngine()
+    val reqs = Seq(kRow(1, 500, 3.0), kRow(1, 999, null), kRow(1, 1200, -1.0), kRow(2, 500, 1.0))
+    def agree(): Unit = reqs.foreach { req =>
+      val (p, r) = (pre.request(req), raw.request(req))
+      lazyFeatures.foreach(f => assert(sameFeature(f, p(f), r(f)), s"$f for $req: $p vs $r"))
+    }
+    (0 until PreAggTable.BuildRows - 1).foreach { i =>
+      val row = kRow(1, 37L * i + 400, if (i % 5 == 4) null else (i * 7 % 11).toDouble)
+      pre.insert("t", row); raw.insert("t", row)
+      assert(pa.bucketCount == 0)
+      agree()
+    }
+    pre.request(kRow(1, 999, 1.0))
+    assert(pa.lastQueryBuckets == 0 && pa.lastQueryRawRows == PreAggTable.BuildRows - 1)
+    val last = kRow(1, 37L * (PreAggTable.BuildRows - 1) + 400, 2.5)
+    pre.insert("t", last); raw.insert("t", last)
+    assert(pa.bucketCount > 0)
+    agree()
+    pre.request(kRow(1, 999, 1.0))
+    assert(pa.lastQueryBuckets > 0)
+  }
+
+  test("property: across the BuildRows-th row, a lazily pre-aggregated engine answers as the raw fold after every insert") {
+    import org.scalacheck.{Gen, Prop, Test => SCTest}
+    // a few keys; ts out of order with ties; values with nulls, NaN,
+    // infinities and both zeros
+    val value: Gen[java.lang.Double] = Gen.frequency(
+      2 -> Gen.const(null),
+      1 -> Gen.oneOf(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0, 0.0).map(Double.box),
+      8 -> Gen.chooseNum(-20, 20).map(i => Double.box(i.toDouble)))
+    val row  = Gen.zip(Gen.choose(0L, 2L), Gen.choose(0L, 60L).map(_ * 25), value)
+    val rows = Gen.choose(20, 90).flatMap(Gen.listOfN(_, row))
+    val reqAt = Gen.listOfN(3, Gen.choose(0L, 2600L))
+    val p = Prop.forAll(rows, reqAt, value) { (rows, ats, reqV) =>
+      val pa = new PreAggTable(Seq(10L, 50L, 200L))
+      val (pre, _) = lazyEngine(pa)
+      val (raw, _) = lazyEngine()
+      var stored = Vector.empty[(Long, Long, java.lang.Double)]
+      rows.forall { case (k, ts, v) =>
+        pre.insert("t", kRow(k, ts, v)); raw.insert("t", kRow(k, ts, v))
+        stored :+= ((k, ts, v))
+        ats.forall { at =>
+          val t = ts + at - 1300
+          val req = kRow(k, t, reqV)
+          val (p, r) = (pre.request(req), raw.request(req))
+          // The raw fold keeps a NaN that comes first in the frame as the
+          // min and max; pre-aggregation ignores NaN there. Outside that
+          // case both agree; there, min and max fold the non-NaN values.
+          val frame = stored.zipWithIndex.collect { case ((kk, tt, vv), i) if kk == k && tt >= t - 1000 && tt <= t => (tt, -i, vv) }
+            .sortBy(x => (x._1, x._2)).map(_._3) :+ reqV
+          val firstNaN = frame.find(_ != null).exists(_.isNaN)
+          val nums = frame.filter(v => v != null && !v.isNaN).map(_.doubleValue)
+          lazyFeatures.forall { f =>
+            val ok =
+              if (firstNaN && f == "lo") p(f) == (if (nums.isEmpty) Double.PositiveInfinity else nums.min)
+              else if (firstNaN && f == "hi") p(f) == (if (nums.isEmpty) Double.NegativeInfinity else nums.max)
+              else sameFeature(f, p(f), r(f))
+            if (!ok) println(s"$f after ${stored.size} rows, request $req: pre-agg ${p(f)}, raw ${r(f)}")
+            ok
+          }
+        }
+      } && (0L to 2L).forall { k => // a key below BuildRows rows holds no buckets
+        stored.count(_._1 == k) >= PreAggTable.BuildRows || pa.queryRows(k.toString, 0, 2000, (_, _, _) => ()).rows == 0
+      }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), p)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("concurrent writers on each key across the BuildRows-th row, with readers running, count every row once") {
+    import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch}
+    val pa = new PreAggTable(Seq(10L, 100L))
+    val (eng, table) = lazyEngine(pa)
+    val (keys, writers, perWriter) = (10, 4, 200)
+    // writer w stores ts w, w + 4, ..; every seventh row is null-valued
+    def rowOf(k: Int, w: Int, i: Int): Map[String, Any] = {
+      val ts = (writers * i + w).toLong
+      kRow(k, ts, if (ts % 7 == 3) null else Double.box((ts * 13 % 101 - 50).toDouble))
+    }
+    val go = new CountDownLatch(1)
+    val errors = new ConcurrentLinkedQueue[Throwable]()
+    @volatile var writing = true
+    val ws = (0 until writers).map { w =>
+      new Thread(() => { go.await(); (0 until perWriter).foreach(i => (0 until keys).foreach(k => eng.insert("t", rowOf(k, w, i)))) })
+    }
+    val rs = (0 until 2).map { r =>
+      new Thread(() => {
+        go.await()
+        var i = 0
+        while (writing) {
+          try {
+            val out = eng.request(kRow(i % keys, 999, null))
+            assert(out("n").asInstanceOf[Long] <= 1000L + 1)
+          } catch { case e: Throwable => errors.add(e) }
+          i += 1
+        }
+      })
+    }
+    (ws ++ rs).foreach(_.start()); go.countDown()
+    ws.foreach(_.join()); writing = false; rs.foreach(_.join())
+    assert(errors.isEmpty, errors.toString)
+    (0 until keys).foreach { k =>
+      val all = for (w <- 0 until writers; i <- 0 until perWriter) yield rowOf(k, w, i)("v").asInstanceOf[java.lang.Double]
+      val vs = all.filter(_ != null).map(_.doubleValue)
+      val out = eng.request(kRow(k, 999, null))
+      assert(out("n") == all.size + 1L && out("s") == vs.sum && out("lo") == vs.min && out("hi") == vs.max, s"key $k: $out")
+      assert(pa.lastQueryBuckets > 0)
+      val part = pa.queryRows(k.toString, 0, 999, (l, h, acc) =>
+        table.scan(k.toString, l, h).foreach { case (_, r) => r("v") match { case null => acc.addNull(); case v: Double => acc.add(v) } })
+      assert(part.rows == all.size && part.cnt == vs.size && part.sum == vs.sum, s"key $k")
+    }
+  }
+
+  test("a bound pre-aggregation fed by a table put and then a direct insert answers as one fed by RequestEngine.insert") {
+    val (paEng, paDirect) = (new PreAggTable(Seq(10L, 100L)), new PreAggTable(Seq(10L, 100L)))
+    val (eng, _) = lazyEngine(paEng)
+    val (direct, table) = lazyEngine(paDirect)
+    val rnd = new scala.util.Random(5)
+    (0 until 120).foreach { i =>
+      val k = rnd.nextInt(3).toLong
+      val ts = rnd.nextInt(60) * 20L
+      val v: java.lang.Double = if (rnd.nextInt(6) == 0) null else Double.box(rnd.nextInt(41) - 20.0)
+      eng.insert("t", kRow(k, ts, v))
+      table.put(kRow(k, ts, v))
+      if (v == null) paDirect.insertNull(k.toString, ts) else paDirect.insert(k.toString, ts, v)
+      assert(paDirect.bucketCount == paEng.bucketCount, s"after row $i")
+      (0L until 3L).foreach { q =>
+        val req = kRow(q, rnd.nextInt(1400).toLong, 1.0)
+        assert(direct.request(req) == eng.request(req), s"after row $i, request $req")
+      }
+    }
+    assert(paDirect.bucketCount > 0)
+    val e = intercept[IllegalArgumentException](paDirect.insert("9", 5L, 1.0))
+    assert(e.getMessage.contains("key 9") && e.getMessage.contains("table t"), e.getMessage)
+  }
+
+  test("binding a pre-aggregation to a second table or column fails, naming both") {
+    val pa = new PreAggTable(Seq(10L))
+    val (_, t) = lazyEngine(pa)
+    new RequestEngine(lazySpec, Map("t" -> t), Map(("w", "v") -> pa)) // the same table and column again
+    val other = intercept[IllegalArgumentException](lazyEngine(pa, name = "u"))
+    Seq("column v of table t", "column v of table u").foreach(m => assert(other.getMessage.contains(m), other.getMessage))
+    val minOfW = lazySpec.copy(features = Seq(Feature("m", FeatureFn.Min("w"), "w")))
+    val col = intercept[IllegalArgumentException](new RequestEngine(minOfW, Map("t" -> t), Map(("w", "w") -> pa)))
+    Seq("column v of table t", "column w of table t").foreach(m => assert(col.getMessage.contains(m), col.getMessage))
   }
 }
